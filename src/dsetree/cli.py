@@ -14,9 +14,9 @@ import sys
 from . import dse, hopf, opbialg, ptrees, trees, wtypes
 from .errors import DsetreeError
 
-MAX_ORDER = 10
 MAX_NODE_BOUND = 8
 MAX_LEAF_BOUND = 10
+_FAMILIES = {"list": ptrees.list_signature, "stable": ptrees.stable_signature}
 
 
 def _load_signature(name: str) -> ptrees.Signature:
@@ -24,17 +24,22 @@ def _load_signature(name: str) -> ptrees.Signature:
         return ptrees.identity_signature()
     if name == "binary":
         return ptrees.binary_signature()
-    if name.startswith("list"):
-        k = int(name.partition(":")[2] or 4)
-        return ptrees.list_signature(k)
-    if name.startswith("stable"):
-        k = int(name.partition(":")[2] or 4)
-        return ptrees.stable_signature(k)
+    family, colon, k_text = name.partition(":")
+    if family in _FAMILIES:
+        if colon and not k_text.isdecimal():
+            raise DsetreeError(f"{family}:K needs a nonnegative integer K, got {k_text!r}")
+        return _FAMILIES[family](int(k_text) if colon else 4)
     with open(name, encoding="utf-8") as fh:
         data = json.load(fh)
-    return ptrees.Signature(
-        tuple(ptrees.Operation(op["name"], int(op["arity"])) for op in data["ops"])
-    )
+    try:
+        ops = data["ops"] if isinstance(data, dict) else None
+        if not isinstance(ops, list) or not all(isinstance(op["name"], str) for op in ops):
+            raise TypeError('expected {"ops": [{"name": <string>, "arity": <int>}, ...]}')
+        return ptrees.Signature(
+            tuple(ptrees.Operation(op["name"], int(op["arity"])) for op in ops)
+        )
+    except (KeyError, TypeError) as exc:
+        raise DsetreeError(f"malformed signature document {name}: {exc}") from exc
 
 
 def _load_spec(name: str, order: int) -> dse.DSESpec:
@@ -45,8 +50,8 @@ def _load_spec(name: str, order: int) -> dse.DSESpec:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if not 0 <= args.order <= MAX_ORDER:
-        raise SystemExit(_usage_error(f"--order must lie in 0..{MAX_ORDER}"))
+    if not 0 <= args.order <= dse.MAX_ORDER:
+        raise SystemExit(_usage_error(f"--order must lie in 0..{dse.MAX_ORDER}"))
     spec = _load_spec(args.spec, args.order)
     series = dse.solve(spec)
     if args.format == "structured":

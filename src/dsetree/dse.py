@@ -169,10 +169,7 @@ def series_to_dict(spec: DSESpec, s: Series) -> dict:
         "coefficients": [
             {
                 "k": k,
-                "terms": [
-                    {"coeff": str(coeff), "forest": forest.code}
-                    for forest, coeff in sorted(c.terms.items(), key=lambda kv: kv[0].code)
-                ],
+                "terms": [{"coeff": str(coeff), "forest": code} for code, coeff in c.rows()],
             }
             for k, c in enumerate(s.coeffs)
         ],

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from itertools import product as iproduct
+from typing import Union
 
 from .errors import MalformedCode
-from .report import CheckReport
+from .linear import LinComb
+from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import (
     EMPTY_FOREST,
     CombTree,
@@ -24,119 +26,14 @@ from .trees import (
     parse_forest,
 )
 
-Scalar = Union[int, Fraction]
-
-
-class HckElem:
-    """A finite rational-linear combination of forests."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Forest, Scalar] = ()):
-        clean = {f: Fraction(c) for f, c in dict(terms).items() if c != 0}
-        self.terms: dict[Forest, Fraction] = clean
-
-    @staticmethod
-    def zero() -> "HckElem":
-        return HckElem()
-
-    @staticmethod
-    def one() -> "HckElem":
-        return HckElem({EMPTY_FOREST: 1})
-
-    @staticmethod
-    def from_forest(f: Forest, coeff: Scalar = 1) -> "HckElem":
-        return HckElem({f: coeff})
-
-    @staticmethod
-    def from_tree(t: CombTree, coeff: Scalar = 1) -> "HckElem":
-        return HckElem({Forest([t]): coeff})
-
-    def __add__(self, other: "HckElem") -> "HckElem":
-        acc = dict(self.terms)
-        for f, c in other.terms.items():
-            acc[f] = acc.get(f, Fraction(0)) + c
-        return HckElem(acc)
-
-    def __sub__(self, other: "HckElem") -> "HckElem":
-        return self + other.scale(-1)
-
-    def scale(self, s: Scalar) -> "HckElem":
-        return HckElem({f: c * s for f, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HckElem) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = sorted(self.terms.items(), key=lambda kv: kv[0].code)
-        return " + ".join(f"{c}*{f.code}" for f, c in parts)
-
-    def __repr__(self) -> str:
-        return f"HckElem({self.text()})"
-
-
-class HckTensor:
-    """A finite rational-linear combination of forest pairs."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[Forest, Forest], Scalar] = ()):
-        clean = {k: Fraction(c) for k, c in dict(terms).items() if c != 0}
-        self.terms: dict[tuple[Forest, Forest], Fraction] = clean
-
-    @staticmethod
-    def unit() -> "HckTensor":
-        return HckTensor({(EMPTY_FOREST, EMPTY_FOREST): 1})
-
-    def __add__(self, other: "HckTensor") -> "HckTensor":
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return HckTensor(acc)
-
-    def __sub__(self, other: "HckTensor") -> "HckTensor":
-        return self + HckTensor({k: -c for k, c in other.terms.items()})
-
-    def tensor_product(self, other: "HckTensor") -> "HckTensor":
-        acc: dict[tuple[Forest, Forest], Fraction] = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                key = (l1.union(l2), r1.union(r2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return HckTensor(acc)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HckTensor) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = sorted(self.terms.items(), key=lambda kv: (kv[0][0].code, kv[0][1].code))
-        return " + ".join(f"{c}*{l.code}(x){r.code}" for (l, r), c in parts)
-
-    def __repr__(self) -> str:
-        return f"HckTensor({self.text()})"
+# Elements and tensors of the Hopf algebra are both linear combinations.
+HckElem = LinComb
+HckTensor = LinComb
 
 
 def product(x: HckElem, y: HckElem) -> HckElem:
     """Bilinear extension of multiset union of forests."""
-    acc: dict[Forest, Fraction] = {}
-    for f, c in x.terms.items():
-        for g, d in y.terms.items():
-            key = f.union(g)
-            acc[key] = acc.get(key, Fraction(0)) + c * d
-    return HckElem(acc)
+    return x.product(y)
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +55,7 @@ def tree_cuts(t: CombTree) -> tuple[tuple[Forest, Forest], ...]:
         child_options.append(options)
 
     cuts: list[tuple[Forest, Forest]] = [(Forest([t]), EMPTY_FOREST)]
-    for combo in _cartesian(child_options):
+    for combo in iproduct(*child_options):
         upper_trees: list[CombTree] = []
         kept: list[CombTree] = []
         for upper, lower in combo:
@@ -167,16 +64,6 @@ def tree_cuts(t: CombTree) -> tuple[tuple[Forest, Forest], ...]:
                 kept.append(lower)
         cuts.append((Forest(upper_trees), Forest([CombTree(kept)])))
     return tuple(cuts)
-
-
-def _cartesian(option_lists):
-    if not option_lists:
-        yield ()
-        return
-    head, *rest = option_lists
-    for choice in head:
-        for tail in _cartesian(rest):
-            yield (choice,) + tail
 
 
 def coproduct(x: Union[CombTree, Forest, HckElem]) -> HckTensor:
@@ -256,58 +143,31 @@ def parse_elem(s: str) -> HckElem:
     return HckElem(acc)
 
 
-def _forests_up_to(degree_bound: int) -> list[Forest]:
-    out: list[Forest] = []
-    for d in range(degree_bound + 1):
-        out.extend(sorted(enumerate_forests(d), key=lambda f: f.code))
-    return out
-
-
 def check_cocycle(degree_bound: int) -> CheckReport:
     """Verify the 1-cocycle identity for grafting on all small forests."""
-    bad: list[tuple[str, str, str]] = []
-    checked = 0
-    for f in _forests_up_to(degree_bound):
-        checked += 1
+
+    def law(f: Forest):
         lhs = coproduct(bplus(HckElem.from_forest(f)))
         rhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
         for (upper, lower), c in coproduct(f).terms.items():
             key = (upper, Forest([graft(lower)]))
             rhs_terms[key] = rhs_terms.get(key, Fraction(0)) + c
         rhs = HckTensor(rhs_terms) + HckTensor({(Forest([graft(f)]), EMPTY_FOREST): 1})
-        if lhs != rhs:
-            bad.append((f.code, rhs.text(), lhs.text()))
-    return CheckReport("cocycle", not bad, checked, tuple(bad))
+        return None if lhs == rhs else (rhs.text(), lhs.text())
+
+    return check_each("cocycle", up_to(enumerate_forests, degree_bound), law)
 
 
 def check_coassociativity(degree_bound: int) -> CheckReport:
     """Verify (coproduct x Id) and (Id x coproduct) agree on small forests."""
-    bad: list[tuple[str, str, str]] = []
-    checked = 0
-    for f in _forests_up_to(degree_bound):
-        checked += 1
-        left: dict[tuple[Forest, Forest, Forest], Fraction] = {}
-        right: dict[tuple[Forest, Forest, Forest], Fraction] = {}
-        for (a, b), c in coproduct(f).terms.items():
-            for (a1, a2), c2 in coproduct(a).terms.items():
-                key = (a1, a2, b)
-                left[key] = left.get(key, Fraction(0)) + c * c2
-            for (b1, b2), c2 in coproduct(b).terms.items():
-                key = (a, b1, b2)
-                right[key] = right.get(key, Fraction(0)) + c * c2
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
-        if left != right:
-            bad.append((f.code, "(Id x D)D", "(D x Id)D"))
-    return CheckReport("coassociativity", not bad, checked, tuple(bad))
+    forests = up_to(enumerate_forests, degree_bound)
+    return check_coassociative("coassociativity", forests, coproduct)
 
 
 def check_counit(degree_bound: int) -> CheckReport:
     """Verify both counit laws on all small forests."""
-    bad: list[tuple[str, str, str]] = []
-    checked = 0
-    for f in _forests_up_to(degree_bound):
-        checked += 1
+
+    def law(f: Forest):
         left = HckElem.zero()
         right = HckElem.zero()
         for (a, b), c in coproduct(f).terms.items():
@@ -315,20 +175,20 @@ def check_counit(degree_bound: int) -> CheckReport:
             right = right + HckElem.from_forest(a, c * counit(HckElem.from_forest(b)))
         expected = HckElem.from_forest(f)
         if left != expected or right != expected:
-            bad.append((f.code, expected.text(), f"left={left.text()} right={right.text()}"))
-    return CheckReport("counit", not bad, checked, tuple(bad))
+            return (expected.text(), f"left={left.text()} right={right.text()}")
+        return None
+
+    return check_each("counit", up_to(enumerate_forests, degree_bound), law)
 
 
 def check_antipode(degree_bound: int) -> CheckReport:
     """Verify m(S x Id)coproduct = unit*counit on all small forests."""
-    bad: list[tuple[str, str, str]] = []
-    checked = 0
-    for f in _forests_up_to(degree_bound):
-        checked += 1
+
+    def law(f: Forest):
         acc = HckElem.zero()
         for (a, b), c in coproduct(f).terms.items():
             acc = acc + product(antipode(HckElem.from_forest(a)), HckElem.from_forest(b)).scale(c)
         expected = HckElem.one() if f == EMPTY_FOREST else HckElem.zero()
-        if acc != expected:
-            bad.append((f.code, expected.text(), acc.text()))
-    return CheckReport("antipode", not bad, checked, tuple(bad))
+        return None if acc == expected else (expected.text(), acc.text())
+
+    return check_each("antipode", up_to(enumerate_forests, degree_bound), law)

@@ -1,0 +1,109 @@
+"""Finite rational-linear combinations of forests and of tuples of forests.
+
+One type serves both the rooted-forest Hopf algebra and the operadic-tree
+bialgebra: its keys are :class:`Forest` values (elements of the free
+commutative algebra on trees) or tuples of them (tensors).  Coefficients are
+exact :class:`fractions.Fraction` values and zero terms are never stored.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping, Optional, Union
+
+from .trees import EMPTY_FOREST, CombTree, Forest
+
+Scalar = Union[int, Fraction]
+Key = Union[Forest, tuple[Forest, ...]]
+
+
+def _factors(key: Key) -> tuple[Forest, ...]:
+    return (key,) if isinstance(key, Forest) else key
+
+
+class LinComb:
+    """A finite rational-linear combination of forests or forest tuples."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[Key, Scalar] = ()):
+        clean = {k: Fraction(c) for k, c in dict(terms).items() if c != 0}
+        self.terms: dict[Key, Fraction] = clean
+
+    @staticmethod
+    def zero() -> "LinComb":
+        return LinComb()
+
+    @staticmethod
+    def one() -> "LinComb":
+        """The algebra unit: the empty forest."""
+        return LinComb({EMPTY_FOREST: 1})
+
+    @staticmethod
+    def unit() -> "LinComb":
+        """The unit of the tensor square: empty forest (x) empty forest."""
+        return LinComb({(EMPTY_FOREST, EMPTY_FOREST): 1})
+
+    @staticmethod
+    def from_forest(f: Forest, coeff: Scalar = 1) -> "LinComb":
+        return LinComb({f: coeff})
+
+    @staticmethod
+    def from_tree(t: CombTree, coeff: Scalar = 1) -> "LinComb":
+        return LinComb({Forest([t]): coeff})
+
+    def __add__(self, other: "LinComb") -> "LinComb":
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            acc[k] = acc.get(k, Fraction(0)) + c
+        return LinComb(acc)
+
+    def __sub__(self, other: "LinComb") -> "LinComb":
+        return self + other.scale(-1)
+
+    def scale(self, s: Scalar) -> "LinComb":
+        return LinComb({k: c * s for k, c in self.terms.items()})
+
+    def product(self, other: "LinComb", degree_bound: Optional[int] = None) -> "LinComb":
+        """Bilinear extension of multiset union, dropping products above the bound."""
+        acc: dict[Forest, Fraction] = {}
+        for f, c in self.terms.items():
+            for g, d in other.terms.items():
+                if degree_bound is not None and f.degree + g.degree > degree_bound:
+                    continue
+                key = f.union(g)
+                acc[key] = acc.get(key, Fraction(0)) + c * d
+        return LinComb(acc)
+
+    def tensor_product(self, other: "LinComb") -> "LinComb":
+        """Product in the tensor square: factorwise multiset union of pairs."""
+        acc: dict[tuple[Forest, Forest], Fraction] = {}
+        for (l1, r1), c1 in self.terms.items():
+            for (l2, r2), c2 in other.terms.items():
+                key = (l1.union(l2), r1.union(r2))
+                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+        return LinComb(acc)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LinComb) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def rows(self) -> list[tuple[str, Fraction]]:
+        """``(key code, coefficient)`` pairs in ascending code order.
+
+        A tuple key is ordered by its factors' codes and printed joined by
+        ``"(x)"``.
+        """
+        ordered = sorted((tuple(f.code for f in _factors(k)), c) for k, c in self.terms.items())
+        return [("(x)".join(codes), c) for codes, c in ordered]
+
+    def text(self) -> str:
+        return " + ".join(f"{c}*{code}" for code, c in self.rows()) or "0"
+
+    def __repr__(self) -> str:
+        return f"LinComb({self.text()})"

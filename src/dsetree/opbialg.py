@@ -11,131 +11,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iproduct
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import hopf
 from .errors import SizeLimit
+from .linear import LinComb
 from .ptrees import NIL, Operation, PTree, Signature, core, core_forest, enumerate_by_nodes
-from .report import CheckReport
-from .trees import Forest
+from .report import CheckReport, check_coassociative, check_each, up_to
+from .trees import EMPTY_FOREST, Forest
 
-Scalar = Union[int, Fraction]
-
-
-class OpForest:
-    """A finite multiset of decorated trees, sorted by code.
-
-    The empty multiset is the algebra unit and is distinct from the multiset
-    containing a bare edge: the degree-zero part of this bialgebra is spanned
-    by all nodeless forests, so it is not connected.
-    """
-
-    __slots__ = ("trees", "code", "degree")
-
-    def __init__(self, trees: Iterable[PTree] = ()):
-        members = sorted(trees, key=lambda t: t.code)
-        self.trees: tuple[PTree, ...] = tuple(members)
-        self.code: str = "*".join(t.code for t in members) if members else "1"
-        self.degree: int = sum(t.node_count for t in members)
-
-    def union(self, other: "OpForest") -> "OpForest":
-        return OpForest(self.trees + other.trees)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OpForest) and self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __lt__(self, other: "OpForest") -> bool:
-        return self.code < other.code
-
-    def __repr__(self) -> str:
-        return f"OpForest({self.code!r})"
-
-
-EMPTY_OPFOREST = OpForest()
-
-
-class OpElem:
-    """A finite rational-linear combination of operadic forests."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[OpForest, Scalar] = ()):
-        self.terms: dict[OpForest, Fraction] = {
-            f: Fraction(c) for f, c in dict(terms).items() if c != 0
-        }
-
-    @staticmethod
-    def unit() -> "OpElem":
-        return OpElem({EMPTY_OPFOREST: 1})
-
-    def __add__(self, other: "OpElem") -> "OpElem":
-        acc = dict(self.terms)
-        for f, c in other.terms.items():
-            acc[f] = acc.get(f, Fraction(0)) + c
-        return OpElem(acc)
-
-    def product(self, other: "OpElem", degree_bound: Optional[int] = None) -> "OpElem":
-        acc: dict[OpForest, Fraction] = {}
-        for f, c in self.terms.items():
-            for g, d in other.terms.items():
-                if degree_bound is not None and f.degree + g.degree > degree_bound:
-                    continue
-                key = f.union(g)
-                acc[key] = acc.get(key, Fraction(0)) + c * d
-        return OpElem(acc)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OpElem) and self.terms == other.terms
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = sorted(self.terms.items(), key=lambda kv: kv[0].code)
-        return " + ".join(f"{c}*{f.code}" for f, c in parts)
-
-
-class OpTensor:
-    """A finite rational-linear combination of pairs of operadic forests."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[OpForest, OpForest], Scalar] = ()):
-        self.terms: dict[tuple[OpForest, OpForest], Fraction] = {
-            k: Fraction(c) for k, c in dict(terms).items() if c != 0
-        }
-
-    def __add__(self, other: "OpTensor") -> "OpTensor":
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return OpTensor(acc)
-
-    def __sub__(self, other: "OpTensor") -> "OpTensor":
-        return self + OpTensor({k: -c for k, c in other.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OpTensor) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = sorted(self.terms.items(), key=lambda kv: (kv[0][0].code, kv[0][1].code))
-        return " + ".join(f"{c}*{l.code}(x){r.code}" for (l, r), c in parts)
-
-    def __repr__(self) -> str:
-        return f"OpTensor({self.text()})"
+# Multisets of decorated trees are plain forests.  The empty forest is the
+# algebra unit and differs from the forest of one bare edge: the degree-zero
+# part of this bialgebra is spanned by all nodeless forests, so it is not
+# connected.
+OpForest = Forest
+EMPTY_OPFOREST = EMPTY_FOREST
+OpElem = LinComb
+OpTensor = LinComb
 
 
 @lru_cache(maxsize=None)
-def ptree_cuts(t: PTree) -> tuple[tuple[OpForest, PTree], ...]:
+def ptree_cuts(t: PTree) -> tuple[tuple[Forest, PTree], ...]:
     """All cuts of ``t`` as (crown, lower tree) pairs.
 
     Lower trees range over root subtrees (down-closed node sets, the empty
@@ -143,7 +41,7 @@ def ptree_cuts(t: PTree) -> tuple[tuple[OpForest, PTree], ...]:
     edge of the lower tree, a bare edge when that leaf edge was an original
     leaf of ``t``.
     """
-    cuts: list[tuple[OpForest, PTree]] = [(OpForest([t]), NIL)]
+    cuts: list[tuple[Forest, PTree]] = [(Forest([t]), NIL)]
     if t.is_nil():
         return tuple(cuts)
     for combo in iproduct(*(ptree_cuts(c) for c in t.children)):
@@ -151,28 +49,28 @@ def ptree_cuts(t: PTree) -> tuple[tuple[OpForest, PTree], ...]:
         for piece, _ in combo:
             crown.extend(piece.trees)
         lower = PTree(t.op, tuple(rest for _, rest in combo))
-        cuts.append((OpForest(crown), lower))
+        cuts.append((Forest(crown), lower))
     return tuple(cuts)
 
 
-def op_coproduct(x: Union[PTree, OpForest]) -> OpTensor:
+def op_coproduct(x: Union[PTree, Forest]) -> LinComb:
     """Cut coproduct, extended multiplicatively to forests."""
     if isinstance(x, PTree):
-        x = OpForest([x])
-    pairs: list[tuple[OpForest, OpForest]] = [(EMPTY_OPFOREST, EMPTY_OPFOREST)]
+        x = Forest([x])
+    pairs: list[tuple[Forest, Forest]] = [(EMPTY_FOREST, EMPTY_FOREST)]
     for t in x.trees:
         pairs = [
-            (crown_acc.union(crown), lower_acc.union(OpForest([lower])))
+            (crown_acc.union(crown), lower_acc.union(Forest([lower])))
             for crown_acc, lower_acc in pairs
             for crown, lower in ptree_cuts(t)
         ]
-    acc: dict[tuple[OpForest, OpForest], Fraction] = {}
+    acc: dict[tuple[Forest, Forest], Fraction] = {}
     for key in pairs:
         acc[key] = acc.get(key, Fraction(0)) + 1
-    return OpTensor(acc)
+    return LinComb(acc)
 
 
-def op_counit(f: OpForest) -> Fraction:
+def op_counit(f: Forest) -> Fraction:
     """1 on nodeless forests, 0 otherwise."""
     return Fraction(1) if f.degree == 0 else Fraction(0)
 
@@ -186,8 +84,8 @@ def op_bplus(op: Operation, children: Iterable[PTree]) -> PTree:
 class CocycleWitness:
     op: Operation
     args: tuple[PTree, ...]
-    lhs: OpTensor
-    rhs: OpTensor
+    lhs: LinComb
+    rhs: LinComb
 
     def describe(self) -> str:
         arg_codes = ", ".join(t.code for t in self.args)
@@ -203,70 +101,46 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
     Arguments range over slot tuples of trees with total node count up to the
     bound; returns the first violation in deterministic order, or None.
     """
-    pool: list[PTree] = []
-    for n in range(node_bound + 1):
-        pool.extend(enumerate_by_nodes(sig, n))
+    pool = up_to(partial(enumerate_by_nodes, sig), node_bound)
     for op in sig.ops:
         for args in iproduct(pool, repeat=op.arity):
             if sum(t.node_count for t in args) > node_bound:
                 continue
             built = op_bplus(op, args)
             lhs = op_coproduct(built)
-            rhs_terms: dict[tuple[OpForest, OpForest], Fraction] = {}
+            rhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
             for combo in iproduct(*(ptree_cuts(t) for t in args)):
                 crown: list[PTree] = []
                 for piece, _ in combo:
                     crown.extend(piece.trees)
-                key = (OpForest(crown), OpForest([PTree(op, tuple(r for _, r in combo))]))
+                key = (Forest(crown), Forest([PTree(op, tuple(r for _, r in combo))]))
                 rhs_terms[key] = rhs_terms.get(key, Fraction(0)) + 1
-            rhs = OpTensor(rhs_terms) + OpTensor({(OpForest([built]), EMPTY_OPFOREST): 1})
+            rhs = LinComb(rhs_terms) + LinComb({(Forest([built]), EMPTY_FOREST): 1})
             if lhs != rhs:
                 return CocycleWitness(op, tuple(args), lhs, rhs)
     return None
 
 
-def _trees_up_to(sig: Signature, node_bound: int) -> list[PTree]:
-    out: list[PTree] = []
-    for n in range(node_bound + 1):
-        out.extend(enumerate_by_nodes(sig, n))
-    return out
-
-
 def check_op_coassociativity(sig: Signature, node_bound: int) -> CheckReport:
     """Exhaustive coassociativity check on trees up to the node bound."""
-    bad: list[tuple[str, str, str]] = []
-    checked = 0
-    for t in _trees_up_to(sig, node_bound):
-        checked += 1
-        left: dict[tuple, Fraction] = {}
-        right: dict[tuple, Fraction] = {}
-        for (a, b), c in op_coproduct(t).terms.items():
-            for (a1, a2), c2 in op_coproduct(a).terms.items():
-                key = (a1, a2, b)
-                left[key] = left.get(key, Fraction(0)) + c * c2
-            for (b1, b2), c2 in op_coproduct(b).terms.items():
-                key = (a, b1, b2)
-                right[key] = right.get(key, Fraction(0)) + c * c2
-        if left != right:
-            bad.append((t.code, "(Id x D)D", "(D x Id)D"))
-    return CheckReport("operadic coassociativity", not bad, checked, tuple(bad))
+    trees = up_to(partial(enumerate_by_nodes, sig), node_bound)
+    return check_coassociative("operadic coassociativity", trees, op_coproduct)
 
 
 def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
     """Verify that taking cores intertwines the two coproducts."""
-    bad: list[tuple[str, str, str]] = []
-    checked = 0
-    for t in _trees_up_to(sig, node_bound):
-        checked += 1
+
+    def law(t: PTree):
         lhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
         for (crown, lower), c in op_coproduct(t).terms.items():
             key = (core_forest(crown.trees), core_forest(lower.trees))
             lhs_terms[key] = lhs_terms.get(key, Fraction(0)) + c
-        lhs = hopf.HckTensor(lhs_terms)
+        lhs = LinComb(lhs_terms)
         rhs = hopf.coproduct(core(t))
-        if lhs != rhs:
-            bad.append((t.code, rhs.text(), lhs.text()))
-    return CheckReport("core homomorphism", not bad, checked, tuple(bad))
+        return None if lhs == rhs else (rhs.text(), lhs.text())
+
+    trees = up_to(partial(enumerate_by_nodes, sig), node_bound)
+    return check_each("core homomorphism", trees, law)
 
 
 @dataclass(frozen=True)
@@ -277,13 +151,11 @@ class GreenSeries:
     node_bound: int
     weights: tuple[tuple[PTree, Fraction], ...]
 
-    def leaf_component(self, n: int) -> OpElem:
-        return OpElem(
-            {OpForest([t]): w for t, w in self.weights if t.leaf_count == n}
-        )
+    def leaf_component(self, n: int) -> LinComb:
+        return LinComb({Forest([t]): w for t, w in self.weights if t.leaf_count == n})
 
-    def total(self) -> OpElem:
-        return OpElem({OpForest([t]): w for t, w in self.weights})
+    def total(self) -> LinComb:
+        return LinComb({Forest([t]): w for t, w in self.weights})
 
     def max_leaves(self) -> int:
         return max((t.leaf_count for t, _ in self.weights), default=0)
@@ -294,7 +166,8 @@ def green(sig: Signature, node_bound: int) -> GreenSeries:
     every automorphism weight is 1."""
     if node_bound < 0:
         raise SizeLimit("node bound must be nonnegative")
-    weights = tuple((t, Fraction(1)) for t in _trees_up_to(sig, node_bound))
+    trees = up_to(partial(enumerate_by_nodes, sig), node_bound)
+    weights = tuple((t, Fraction(1)) for t in trees)
     return GreenSeries(sig, node_bound, weights)
 
 
@@ -303,14 +176,15 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
     expansion, restricted (exactly) to tensor terms of total node count up to
     the bound."""
     series = green(sig, node_bound)
-    lhs = OpTensor()
+    lhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
     for t, w in series.weights:
         for key, c in op_coproduct(t).terms.items():
-            lhs = lhs + OpTensor({key: c * w})
+            lhs_terms[key] = lhs_terms.get(key, Fraction(0)) + c * w
+    lhs = LinComb(lhs_terms)
 
     total = series.total()
-    rhs_terms: dict[tuple[OpForest, OpForest], Fraction] = {}
-    power = OpElem.unit()
+    rhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
+    power = LinComb.one()
     for n in range(series.max_leaves() + 1):
         g_n = series.leaf_component(n)
         for f, c in power.terms.items():
@@ -320,13 +194,9 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
                 key = (f, g)
                 rhs_terms[key] = rhs_terms.get(key, Fraction(0)) + c * d
         power = power.product(total, degree_bound=node_bound)
-    rhs = OpTensor(rhs_terms)
+    rhs = LinComb(rhs_terms)
 
     if lhs == rhs:
         return CheckReport("Faa di Bruno", True, len(series.weights))
-    diff = lhs - rhs
-    sample = sorted(diff.terms.items(), key=lambda kv: (kv[0][0].code, kv[0][1].code))[:5]
-    bad = tuple(
-        (f"{l.code}(x){r.code}", "0", str(c)) for (l, r), c in sample
-    )
+    bad = tuple((code, "0", str(c)) for code, c in (lhs - rhs).rows()[:5])
     return CheckReport("Faa di Bruno", False, len(series.weights), bad)

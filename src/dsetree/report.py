@@ -1,8 +1,10 @@
-"""Pass/fail reports produced by the law-checking routines."""
+"""Pass/fail reports and the drivers shared by the law-checking routines."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -28,3 +30,63 @@ class CheckReport:
         for inp, expected, actual in self.counterexamples:
             out += f"\n  counterexample: input={inp} expected={expected} actual={actual}"
         return out
+
+
+def up_to(enumerate_exact: Callable[[int], Iterable[Any]], bound: int) -> list[Any]:
+    """Every object of size ``0..bound``, size by size, each size in code order."""
+    out: list[Any] = []
+    for n in range(bound + 1):
+        out.extend(sorted(enumerate_exact(n), key=lambda x: x.code))
+    return out
+
+
+def check_each(
+    name: str,
+    inputs: Sequence[Any],
+    law: Callable[[Any], Optional[tuple[str, str]]],
+) -> CheckReport:
+    """Apply ``law`` to every input.
+
+    ``law`` returns None when the input satisfies it, otherwise the
+    ``(expected, actual)`` pair to report next to the input's code.
+    """
+    bad = []
+    for x in inputs:
+        failure = law(x)
+        if failure is not None:
+            bad.append((x.code, *failure))
+    return CheckReport(name, not bad, len(inputs), tuple(bad))
+
+
+def check_coassociative(
+    name: str,
+    inputs: Sequence[Any],
+    coproduct: Callable[[Any], Any],
+) -> CheckReport:
+    """Check that ``(coproduct x Id)coproduct = (Id x coproduct)coproduct`` on every input.
+
+    ``coproduct`` maps an input, and every forest in its result, to a
+    linear combination of forest pairs.
+    """
+
+    def law(x: Any) -> Optional[tuple[str, str]]:
+        left: dict[tuple, Fraction] = {}
+        right: dict[tuple, Fraction] = {}
+        for (a, b), c in coproduct(x).terms.items():
+            for (a1, a2), c2 in coproduct(a).terms.items():
+                key = (a1, a2, b)
+                left[key] = left.get(key, Fraction(0)) + c * c2
+            for (b1, b2), c2 in coproduct(b).terms.items():
+                key = (a, b1, b2)
+                right[key] = right.get(key, Fraction(0)) + c * c2
+        # Terms may cancel to zero; compare the nonzero parts only when the
+        # raw sums differ.
+        if left != right and _nonzero(left) != _nonzero(right):
+            return ("(Id x D)D", "(D x Id)D")
+        return None
+
+    return check_each(name, inputs, law)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: v for k, v in terms.items() if v}

@@ -46,17 +46,20 @@ LEAF = CombTree()
 
 
 class Forest:
-    """A finite multiset of :class:`CombTree`, sorted by canonical code.
+    """A finite multiset of trees, sorted by canonical code.
 
-    The empty forest is the multiplicative unit and prints as ``"1"``;
-    otherwise members print joined by ``"*"`` in ascending code order.
+    Members are :class:`CombTree` values, or the decorated trees of
+    :mod:`dsetree.ptrees`; both carry a ``code`` and a ``node_count``.  The
+    empty forest is the multiplicative unit and prints as ``"1"``; otherwise
+    members print joined by ``"*"`` in ascending code order.  A forest of bare
+    edges is nodeless but is not the empty forest.
     """
 
     __slots__ = ("trees", "code", "degree")
 
-    def __init__(self, trees: Iterable[CombTree] = ()):
+    def __init__(self, trees: Iterable = ()):
         members = sorted(trees, key=lambda t: t.code)
-        self.trees: tuple[CombTree, ...] = tuple(members)
+        self.trees: tuple = tuple(members)
         self.code: str = "*".join(t.code for t in members) if members else "1"
         self.degree: int = sum(t.node_count for t in members)
 
@@ -69,7 +72,7 @@ class Forest:
     def __lt__(self, other: "Forest") -> bool:
         return self.code < other.code
 
-    def __iter__(self) -> Iterator[CombTree]:
+    def __iter__(self) -> Iterator:
         return iter(self.trees)
 
     def union(self, other: "Forest") -> "Forest":

@@ -10,12 +10,13 @@ the stage-wise bijectivity of the fixpoint structure map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as iproduct
 from typing import Any, Callable, Mapping
 
 from .errors import ArityMismatch
 from .ptrees import NIL, PTree, Signature, enumerate_by_nodes, kleene_layer
-from .report import CheckReport
+from .report import CheckReport, check_each, up_to
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,6 @@ def fold(sig: Signature, alg: FoldAlgebra, t: PTree) -> Any:
     return values[0]
 
 
-def _trees_up_to(sig: Signature, bound: int) -> list[PTree]:
-    out: list[PTree] = []
-    for n in range(bound + 1):
-        out.extend(enumerate_by_nodes(sig, n))
-    return out
-
-
 def check_computation_rules(
     sig: Signature,
     alg: FoldAlgebra,
@@ -75,18 +69,16 @@ def check_computation_rules(
     this into a conformance test for it.
     """
     ev = evaluator or fold
-    bad: list[tuple[str, str, str]] = []
-    checked = 0
-    for t in _trees_up_to(sig, bound):
-        checked += 1
+
+    def law(t: PTree):
         actual = ev(sig, alg, t)
         if t.is_nil():
             expected = alg.nil_value
         else:
             expected = alg.apply(t.op.name, [ev(sig, alg, c) for c in t.children])
-        if actual != expected:
-            bad.append((t.code, repr(expected), repr(actual)))
-    return CheckReport("computation rules", not bad, checked, tuple(bad))
+        return None if actual == expected else (repr(expected), repr(actual))
+
+    return check_each("computation rules", up_to(partial(enumerate_by_nodes, sig), bound), law)
 
 
 def check_fold_uniqueness(
@@ -101,22 +93,19 @@ def check_fold_uniqueness(
     tree where it disagrees with the fold; with no rule violations the
     agreement is forced by induction on node count.
     """
-    bad: list[tuple[str, str, str]] = []
-    checked = 0
-    for t in _trees_up_to(sig, bound):
-        checked += 1
+
+    def law(t: PTree):
         got = candidate(t)
         if t.is_nil():
             expected = alg.nil_value
         else:
             expected = alg.apply(t.op.name, [candidate(c) for c in t.children])
         if got != expected:
-            bad.append((t.code, repr(expected), repr(got)))
-            continue
+            return (repr(expected), repr(got))
         reference = fold(sig, alg, t)
-        if got != reference:
-            bad.append((t.code, repr(reference), repr(got)))
-    return CheckReport("fold uniqueness", not bad, checked, tuple(bad))
+        return None if got == reference else (repr(reference), repr(got))
+
+    return check_each("fold uniqueness", up_to(partial(enumerate_by_nodes, sig), bound), law)
 
 
 def lambek_check(sig: Signature, k: int) -> CheckReport:

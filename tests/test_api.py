@@ -1,0 +1,54 @@
+from fractions import Fraction
+
+import dsetree
+from dsetree.hopf import HckElem, HckTensor
+from dsetree.opbialg import EMPTY_OPFOREST, OpForest
+from dsetree.ptrees import NIL
+from dsetree.trees import EMPTY_FOREST, LEAF, Forest, parse_forest
+
+
+def test_public_names_unchanged():
+    assert dsetree.__all__ == [
+        "CombTree",
+        "DSESpec",
+        "DSETerm",
+        "FoldAlgebra",
+        "Forest",
+        "HckElem",
+        "HckTensor",
+        "NIL",
+        "Operation",
+        "PTree",
+        "Series",
+        "Signature",
+        "antipode",
+        "bplus",
+        "canon_code",
+        "coproduct",
+        "core",
+        "counit",
+        "fold",
+        "graft",
+        "parse_code",
+        "product",
+        "solve",
+    ]
+    assert all(hasattr(dsetree, name) for name in dsetree.__all__)
+
+
+def test_linear_combination_constructors():
+    assert HckElem.one().terms == {EMPTY_FOREST: Fraction(1)}
+    assert HckElem.one().text() == "1*1"
+    assert HckTensor.unit().terms == {(EMPTY_FOREST, EMPTY_FOREST): Fraction(1)}
+    assert HckTensor.unit().text() == "1*1(x)1"
+    f = parse_forest("(())*()")
+    assert HckElem.from_forest(f, 3).terms == {f: Fraction(3)}
+    assert HckElem.from_tree(LEAF, Fraction(1, 2)).terms == {Forest([LEAF]): Fraction(1, 2)}
+    assert HckElem.from_tree(LEAF, 0).is_zero() and HckElem.zero().text() == "0"
+    assert all(type(c) is Fraction for c in HckElem.from_forest(f, 3).terms.values())
+
+
+def test_operadic_forest_of_bare_edge_is_not_the_unit():
+    assert OpForest([NIL]) != EMPTY_OPFOREST
+    assert OpForest([NIL]).degree == EMPTY_OPFOREST.degree == 0
+    assert OpForest([NIL]).code == "|" and EMPTY_OPFOREST.code == "1"

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from dsetree import dse
+from dsetree import cli, dse
 
 
 def run_cli(*args):
@@ -115,3 +115,27 @@ def test_outputs_are_deterministic():
         second = run_cli(*cmd)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+def test_malformed_signature_file_exits_2(tmp_path, capsys):
+    docs = ["[1]", '{"ops": 5}', '{"ops": [{"name": 5, "arity": 2}]}', '{"ops": [{"name": "a"}]}']
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"sig{i}.json"
+        path.write_text(doc)
+        assert cli.main(["enumerate", "--signature", str(path), "--n", "2"]) == 2, doc
+        assert "malformed signature document" in capsys.readouterr().err
+
+
+def test_signature_file_named_like_a_builtin_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list_pair.json").write_text(json.dumps({"ops": [{"name": "pair", "arity": 2}]}))
+    assert cli.main(["enumerate", "--signature", "list_pair.json", "--n", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total: 2"
+
+
+def test_builtin_family_needs_nonnegative_integer_k(capsys):
+    for name in ("list:-1", "list:1.5", "list:", "stable:x"):
+        assert cli.main(["enumerate", "--signature", name, "--n", "2"]) == 2, name
+        assert "needs a nonnegative integer K" in capsys.readouterr().err
+    assert cli.main(["enumerate", "--signature", "list:1", "--n", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total: 2"
