@@ -33,11 +33,11 @@ def _load_signature(name: str) -> ptrees.Signature:
         data = json.load(fh)
     try:
         ops = data["ops"] if isinstance(data, dict) else None
-        if not isinstance(ops, list) or not all(isinstance(op["name"], str) for op in ops):
+        if not isinstance(ops, list) or not all(
+            isinstance(op["name"], str) and type(op["arity"]) is int for op in ops
+        ):
             raise TypeError('expected {"ops": [{"name": <string>, "arity": <int>}, ...]}')
-        return ptrees.Signature(
-            tuple(ptrees.Operation(op["name"], int(op["arity"])) for op in ops)
-        )
+        return ptrees.Signature(tuple(ptrees.Operation(op["name"], op["arity"]) for op in ops))
     except (KeyError, TypeError) as exc:
         raise DsetreeError(f"malformed signature document {name}: {exc}") from exc
 
@@ -271,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         return _usage_error(f"cannot open {exc.filename}")
     except (DsetreeError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return _usage_error(str(exc))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product as iproduct
 from typing import Iterable, Optional, Union
 
@@ -32,29 +32,42 @@ OpElem = LinComb
 OpTensor = LinComb
 
 
-@lru_cache(maxsize=None)
-def ptree_cuts(t: PTree) -> tuple[tuple[Forest, PTree], ...]:
+def ptree_cuts(t: PTree, table: Optional[dict] = None) -> tuple[tuple[Forest, PTree], ...]:
     """All cuts of ``t`` as (crown, lower tree) pairs.
 
     Lower trees range over root subtrees (down-closed node sets, the empty
     set giving the bare root edge); the crown carries one piece per leaf
     edge of the lower tree, a bare edge when that leaf edge was an original
     leaf of ``t``.
+
+    ``table`` caches the work of one computation: it maps every tree met to
+    its cuts and every forest met to one shared copy of it.  Without it a
+    fresh table is used.
     """
-    cuts: list[tuple[Forest, PTree]] = [(Forest([t]), NIL)]
-    if t.is_nil():
-        return tuple(cuts)
-    for combo in iproduct(*(ptree_cuts(c) for c in t.children)):
-        crown: list[PTree] = []
-        for piece, _ in combo:
-            crown.extend(piece.trees)
-        lower = PTree(t.op, tuple(rest for _, rest in combo))
-        cuts.append((Forest(crown), lower))
-    return tuple(cuts)
+    if table is None:
+        table = {}
+    cuts = table.get(t)
+    if cuts is not None:
+        return cuts
+    whole = Forest([t])
+    found: list[tuple[Forest, PTree]] = [(table.setdefault(whole, whole), NIL)]
+    if not t.is_nil():
+        for combo in iproduct(*(ptree_cuts(c, table) for c in t.children)):
+            crown = Forest([piece for pieces, _ in combo for piece in pieces.trees])
+            lower = Forest([PTree(t.op, tuple(rest for _, rest in combo))])
+            found.append((table.setdefault(crown, crown), table.setdefault(lower, lower).trees[0]))
+    cuts = table[t] = tuple(found)
+    return cuts
 
 
-def op_coproduct(x: Union[PTree, Forest]) -> LinComb:
-    """Cut coproduct, extended multiplicatively to forests."""
+def op_coproduct(x: Union[PTree, Forest], table: Optional[dict] = None) -> LinComb:
+    """Cut coproduct, extended multiplicatively to forests.
+
+    ``table`` is the cache of :func:`ptree_cuts`; the factors of the result
+    are its shared forests.
+    """
+    if table is None:
+        table = {}
     if isinstance(x, PTree):
         x = Forest([x])
     pairs: list[tuple[Forest, Forest]] = [(EMPTY_FOREST, EMPTY_FOREST)]
@@ -62,11 +75,12 @@ def op_coproduct(x: Union[PTree, Forest]) -> LinComb:
         pairs = [
             (crown_acc.union(crown), lower_acc.union(Forest([lower])))
             for crown_acc, lower_acc in pairs
-            for crown, lower in ptree_cuts(t)
+            for crown, lower in ptree_cuts(t, table)
         ]
-    acc: dict[tuple[Forest, Forest], Fraction] = {}
-    for key in pairs:
-        acc[key] = acc.get(key, Fraction(0)) + 1
+    acc: dict[tuple[Forest, Forest], int] = {}
+    for crown, lower in pairs:
+        key = (table.setdefault(crown, crown), table.setdefault(lower, lower))
+        acc[key] = acc.get(key, 0) + 1
     return LinComb(acc)
 
 
@@ -123,18 +137,29 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
 
 def check_op_coassociativity(sig: Signature, node_bound: int) -> CheckReport:
     """Exhaustive coassociativity check on trees up to the node bound."""
-    trees = up_to(partial(enumerate_by_nodes, sig), node_bound)
-    return check_coassociative("operadic coassociativity", trees, op_coproduct)
+    # One-tree forests, so that an input shares its coproduct with the forest
+    # of the same code met inside the check.
+    forests = [Forest([t]) for t in up_to(partial(enumerate_by_nodes, sig), node_bound)]
+    table: dict = {}
+    return check_coassociative("operadic coassociativity", forests, partial(op_coproduct, table=table))
 
 
 def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
     """Verify that taking cores intertwines the two coproducts."""
+    table: dict = {}
+    cores: dict[Forest, Forest] = {}
+
+    def core_of(f: Forest) -> Forest:
+        found = cores.get(f)
+        if found is None:
+            found = cores[f] = core_forest(f.trees)
+        return found
 
     def law(t: PTree):
         lhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
-        for (crown, lower), c in op_coproduct(t).terms.items():
-            key = (core_forest(crown.trees), core_forest(lower.trees))
-            lhs_terms[key] = lhs_terms.get(key, Fraction(0)) + c
+        for (crown, lower), c in op_coproduct(t, table).terms.items():
+            key = (core_of(crown), core_of(lower))
+            lhs_terms[key] = lhs_terms.get(key, 0) + c
         lhs = LinComb(lhs_terms)
         rhs = hopf.coproduct(core(t))
         return None if lhs == rhs else (rhs.text(), lhs.text())

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from typing import Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
@@ -156,13 +156,15 @@ def stable_signature(max_arity: int) -> Signature:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
+    """Every ``parts``-tuple of nonnegative integers summing to ``total``."""
+    if total < 0 or parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # Stars and bars: the parts are the gaps between parts - 1 bars.
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 @lru_cache(maxsize=None)

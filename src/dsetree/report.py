@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 
@@ -66,19 +65,31 @@ def check_coassociative(
     """Check that ``(coproduct x Id)coproduct = (Id x coproduct)coproduct`` on every input.
 
     ``coproduct`` maps an input, and every forest in its result, to a
-    linear combination of forest pairs.
+    linear combination of forest pairs.  It is called once per distinct
+    forest over the whole check.
     """
+    memo: dict[Any, list[tuple[Any, Any, Any]]] = {}
+
+    def delta(x: Any) -> list[tuple[Any, Any, Any]]:
+        terms = memo.get(x)
+        if terms is None:
+            # Integral coefficients become ints: exact, and cheaper to multiply.
+            terms = memo[x] = [
+                (a, b, c.numerator if c.denominator == 1 else c)
+                for (a, b), c in coproduct(x).terms.items()
+            ]
+        return terms
 
     def law(x: Any) -> Optional[tuple[str, str]]:
-        left: dict[tuple, Fraction] = {}
-        right: dict[tuple, Fraction] = {}
-        for (a, b), c in coproduct(x).terms.items():
-            for (a1, a2), c2 in coproduct(a).terms.items():
+        left: dict[tuple, Any] = {}
+        right: dict[tuple, Any] = {}
+        for a, b, c in delta(x):
+            for a1, a2, c2 in delta(a):
                 key = (a1, a2, b)
-                left[key] = left.get(key, Fraction(0)) + c * c2
-            for (b1, b2), c2 in coproduct(b).terms.items():
+                left[key] = left.get(key, 0) + c * c2
+            for b1, b2, c2 in delta(b):
                 key = (a, b1, b2)
-                right[key] = right.get(key, Fraction(0)) + c * c2
+                right[key] = right.get(key, 0) + c * c2
         # Terms may cancel to zero; compare the nonzero parts only when the
         # raw sums differ.
         if left != right and _nonzero(left) != _nonzero(right):

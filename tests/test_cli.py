@@ -118,7 +118,14 @@ def test_outputs_are_deterministic():
 
 
 def test_malformed_signature_file_exits_2(tmp_path, capsys):
-    docs = ["[1]", '{"ops": 5}', '{"ops": [{"name": 5, "arity": 2}]}', '{"ops": [{"name": "a"}]}']
+    docs = [
+        "[1]",
+        '{"ops": 5}',
+        '{"ops": [{"name": 5, "arity": 2}]}',
+        '{"ops": [{"name": "a"}]}',
+        '{"ops": [{"name": "b", "arity": 2.7}]}',
+        '{"ops": [{"name": "b", "arity": true}]}',
+    ]
     for i, doc in enumerate(docs):
         path = tmp_path / f"sig{i}.json"
         path.write_text(doc)
@@ -139,3 +146,19 @@ def test_builtin_family_needs_nonnegative_integer_k(capsys):
         assert "needs a nonnegative integer K" in capsys.readouterr().err
     assert cli.main(["enumerate", "--signature", "list:1", "--n", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "total: 2"
+
+
+def test_directory_given_as_a_file_exits_2(tmp_path, capsys):
+    for argv in (
+        ["enumerate", "--signature", str(tmp_path), "--n", "2"],
+        ["solve", "--spec", str(tmp_path), "--order", "2"],
+    ):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: cannot open {tmp_path}\n"
+
+
+def test_large_arity_enumerates(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"ops": [{"name": "w", "arity": 3000}]}))
+    assert cli.main(["enumerate", "--signature", str(path), "--n", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total: 1"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations
 
 import pytest
@@ -26,6 +27,7 @@ from dsetree.ptrees import (
     identity_signature,
     stable_signature,
 )
+from dsetree.report import up_to
 
 BIN = binary_signature()
 B = BIN.op("b")
@@ -172,3 +174,27 @@ def test_faa_di_bruno_small_bounds():
     assert check_faa_di_bruno(identity_signature(), 3).passed
     assert check_faa_di_bruno(BIN, 0).passed
     assert check_faa_di_bruno(stable_signature(3), 3).passed
+
+
+def test_shared_table_changes_no_result_and_shares_each_code():
+    trees = up_to(partial(enumerate_by_nodes, stable_signature(3)), 4)
+    forests = [
+        OpForest([a, b])
+        for i, a in enumerate(trees)
+        for b in trees[i:]
+        if a.node_count + b.node_count <= 4
+    ]
+    table = {}
+    shared = {}
+
+    def is_shared(x):
+        return shared.setdefault((type(x), x.code), x) is x
+
+    for t in trees:
+        cuts = ptree_cuts(t, table)
+        assert cuts == ptree_cuts(t)
+        assert all(is_shared(crown) and is_shared(lower) for crown, lower in cuts)
+    for x in trees + forests:
+        delta = op_coproduct(x, table)
+        assert delta == op_coproduct(x)
+        assert all(is_shared(crown) and is_shared(lower) for crown, lower in delta.terms)
