@@ -70,6 +70,8 @@ def _signature_for_enumeration(args: argparse.Namespace) -> ptrees.Signature:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_enum_bounds(args)
+    if args.node_bound is not None and not 0 <= args.node_bound <= MAX_NODE_BOUND:
+        raise SystemExit(_usage_error(f"--node-bound must lie in 0..{MAX_NODE_BOUND}"))
     if args.signature == "comb":
         if args.by != "nodes":
             raise SystemExit(_usage_error("combinatorial trees are enumerated by nodes"))

@@ -11,9 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Sequence
 
 from .errors import InvalidSpec, OrderExceeded
 from .hopf import HckElem, bplus, product
+from .trees import EMPTY_FOREST
 
 MAX_ORDER = 10
 
@@ -71,49 +74,50 @@ def series_power(s: Series, m: int, j: int) -> HckElem:
     return _power_coefficient(s.coeffs, m, j)
 
 
-def _power_coefficient(coeffs: tuple[HckElem, ...], m: int, j: int) -> HckElem:
+def _power_coefficient(coeffs: Sequence[HckElem], m: int, j: int) -> HckElem:
     # Convolution over compositions of j into m parts, built iteratively.
     current = [HckElem.one()] + [HckElem.zero()] * j
     for _ in range(m):
-        nxt = [HckElem.zero()] * (j + 1)
-        for a in range(j + 1):
-            if current[a].is_zero():
-                continue
-            for b in range(j + 1 - a):
-                if coeffs[b].is_zero():
-                    continue
-                nxt[a + b] = nxt[a + b] + product(current[a], coeffs[b])
-        current = nxt
+        current = [
+            HckElem.sum(
+                term
+                for a in range(i + 1)
+                if not current[a].is_zero() and not coeffs[i - a].is_zero()
+                for term in product(current[a], coeffs[i - a]).terms.items()
+            )
+            for i in range(j + 1)
+        ]
     return current[j]
+
+
+def _rhs(spec: DSESpec, coeffs: Sequence[HckElem], k: int) -> HckElem:
+    """alpha^k coefficient of the equation's right-hand side.
+
+    ``coeffs`` holds at least the coefficients c_0..c_{k-1} of ``X``.
+    """
+    return HckElem.sum(chain(
+        [(EMPTY_FOREST, 1)] if k == 0 else [],
+        (
+            (forest, term.coeff * c)
+            for term in spec.terms
+            if k >= term.alpha_power
+            for forest, c in bplus(_power_coefficient(coeffs, term.x_power, k - term.alpha_power)).terms.items()
+        ),
+    ))
 
 
 def solve(spec: DSESpec) -> Series:
     """Unique order-by-order solution of the fixpoint equation."""
-    coeffs: list[HckElem] = [HckElem.one()]
-    for k in range(1, spec.order + 1):
-        c_k = HckElem.zero()
-        partial = tuple(coeffs) + (HckElem.zero(),)
-        for term in spec.terms:
-            j = k - term.alpha_power
-            if j < 0:
-                continue
-            c_k = c_k + bplus(_power_coefficient(partial, term.x_power, j)).scale(term.coeff)
-        coeffs.append(c_k)
+    # Every alpha_power is at least 1, so c_k depends only on c_0..c_{k-1}.
+    coeffs: list[HckElem] = []
+    for k in range(spec.order + 1):
+        coeffs.append(_rhs(spec, coeffs, k))
     return Series(tuple(coeffs))
 
 
 def residual(spec: DSESpec, s: Series) -> list[HckElem]:
     """Per-order difference between ``s`` and the equation's right-hand side."""
-    out = []
-    for k in range(s.order + 1):
-        rhs = HckElem.one() if k == 0 else HckElem.zero()
-        for term in spec.terms:
-            j = k - term.alpha_power
-            if j < 0:
-                continue
-            rhs = rhs + bplus(_power_coefficient(s.coeffs, term.x_power, j)).scale(term.coeff)
-        out.append(s.coeffs[k] - rhs)
-    return out
+    return [s.coeffs[k] - _rhs(spec, s.coeffs, k) for k in range(s.order + 1)]
 
 
 def linear_spec(order: int) -> DSESpec:
@@ -139,13 +143,20 @@ BUILTIN_SPECS = {
 }
 
 
+def _integer(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:  # not a float, a string or a bool
+        raise InvalidSpec(f"malformed equation document: {key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict, name: str = "") -> DSESpec:
     try:
         terms = tuple(
-            DSETerm(int(t["alpha_power"]), Fraction(str(t["coeff"])), int(t["x_power"]))
+            DSETerm(_integer(t, "alpha_power"), Fraction(str(t["coeff"])), _integer(t, "x_power"))
             for t in data["terms"]
         )
-        order = int(data["order"])
+        order = _integer(data, "order")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed equation document: {exc}") from exc
     return DSESpec(terms, order, name=name)

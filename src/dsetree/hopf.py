@@ -4,27 +4,21 @@ Elements are finite rational-linear combinations of forests; the product is
 multiset union of forests, the coproduct sums over admissible cuts (the
 root-containing subtree below, the forest of upper pieces above), and the
 antipode is the usual connected-graded recursion.  All coefficients are exact
-:class:`fractions.Fraction` values.
+:class:`fractions.Fraction` values.  The cut enumeration and the coproduct
+also serve the decorated trees of :mod:`dsetree.opbialg`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product as iproduct
-from typing import Union
+from functools import lru_cache, partial, reduce
+from itertools import chain, product as iproduct
+from typing import Optional
 
 from .errors import MalformedCode
 from .linear import LinComb
 from .report import CheckReport, check_coassociative, check_each, up_to
-from .trees import (
-    EMPTY_FOREST,
-    CombTree,
-    Forest,
-    enumerate_forests,
-    graft,
-    parse_forest,
-)
+from .trees import EMPTY_FOREST, CombTree, Forest, enumerate_forests, graft, parse_forest
 
 # Elements and tensors of the Hopf algebra are both linear combinations.
 HckElem = LinComb
@@ -36,60 +30,61 @@ def product(x: HckElem, y: HckElem) -> HckElem:
     return x.product(y)
 
 
-@lru_cache(maxsize=None)
-def tree_cuts(t: CombTree) -> tuple[tuple[Forest, Forest], ...]:
-    """All admissible cuts of ``t`` as (upper forest, lower forest) pairs.
+def tree_cuts(t, table: Optional[dict] = None) -> tuple[tuple[Forest, Forest], ...]:
+    """All cuts of ``t`` as (upper forest, lower forest) pairs, the cut under the root first.
 
-    The lower factor is the root-containing subtree (a one-tree forest) or
-    the empty forest for the cut below the root; the upper factor collects
-    the connected pieces above the cut.
+    ``t`` is a :class:`CombTree` or a decorated tree.  The lower factor is
+    the forest of the root-containing part: ``t.stump`` for the cut under the
+    root, otherwise one tree, rebuilt by ``t.with_children``.  The upper
+    factor collects the pieces above the cut.  A nodeless tree has only the
+    cut under its root.
+
+    ``table`` caches the work of one computation: it maps every tree met to
+    its cuts and every forest met to one shared copy of it.  Without it a
+    fresh table is used.
     """
-    # Per child: either cut its root edge (the whole child goes above), or
-    # keep its root and recurse on the root-containing cuts of the child.
-    child_options: list[list[tuple[Forest, CombTree | None]]] = []
-    for c in t.children:
-        options: list[tuple[Forest, CombTree | None]] = [(Forest([c]), None)]
-        for upper, lower in tree_cuts(c):
-            if lower.trees:
-                options.append((upper, lower.trees[0]))
-        child_options.append(options)
-
-    cuts: list[tuple[Forest, Forest]] = [(Forest([t]), EMPTY_FOREST)]
-    for combo in iproduct(*child_options):
-        upper_trees: list[CombTree] = []
-        kept: list[CombTree] = []
-        for upper, lower in combo:
-            upper_trees.extend(upper.trees)
-            if lower is not None:
-                kept.append(lower)
-        cuts.append((Forest(upper_trees), Forest([CombTree(kept)])))
-    return tuple(cuts)
+    if table is None:
+        table = {}
+    cuts = table.get(t)
+    if cuts is not None:
+        return cuts
+    whole = Forest([t])
+    found = [(table.setdefault(whole, whole), table.setdefault(t.stump, t.stump))]
+    if t.node_count:
+        # Per child: its cut under the root (the whole child goes above) or one
+        # of its other cuts (its root part stays below).
+        for combo in iproduct(*(tree_cuts(c, table) for c in t.children)):
+            upper = Forest([piece for pieces, _ in combo for piece in pieces.trees])
+            lower = Forest([t.with_children(kept for _, below in combo for kept in below.trees)])
+            found.append((table.setdefault(upper, upper), table.setdefault(lower, lower)))
+    cuts = table[t] = tuple(found)
+    return cuts
 
 
-def coproduct(x: Union[CombTree, Forest, HckElem]) -> HckTensor:
-    """Admissible-cut coproduct, extended multiplicatively and linearly."""
-    if isinstance(x, CombTree):
-        x = HckElem.from_tree(x)
-    elif isinstance(x, Forest):
-        x = HckElem.from_forest(x)
-    acc: dict[tuple[Forest, Forest], Fraction] = {}
-    for forest, coeff in x.terms.items():
-        for upper, lower in _forest_cuts(forest):
-            key = (upper, lower)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-    return HckTensor(acc)
+def coproduct(x, table: Optional[dict] = None) -> HckTensor:
+    """Cut coproduct of a tree, a forest or a linear combination of forests.
 
-
-@lru_cache(maxsize=None)
-def _forest_cuts(f: Forest) -> tuple[tuple[Forest, Forest], ...]:
-    pairs: list[tuple[Forest, Forest]] = [(EMPTY_FOREST, EMPTY_FOREST)]
-    for t in f.trees:
-        pairs = [
-            (upper.union(cut_upper), lower.union(cut_lower))
-            for upper, lower in pairs
-            for cut_upper, cut_lower in tree_cuts(t)
-        ]
-    return tuple(pairs)
+    It is extended multiplicatively to forests and linearly to combinations.
+    ``table`` is the cache of :func:`tree_cuts`; the factors of the result
+    are its shared forests.
+    """
+    if table is None:
+        table = {}
+    if isinstance(x, LinComb):
+        weighted = x.terms.items()
+    else:
+        weighted = [(x if isinstance(x, Forest) else Forest([x]), 1)]
+    pairs = []
+    for forest, coeff in weighted:
+        if len(forest.trees) == 1:
+            # A tree's cuts are already pairs of shared forests.
+            pairs.extend((cut, coeff) for cut in tree_cuts(forest.trees[0], table))
+            continue
+        for combo in iproduct(*(tree_cuts(t, table) for t in forest.trees)):
+            upper = Forest([piece for pieces, _ in combo for piece in pieces.trees])
+            lower = Forest([piece for _, pieces in combo for piece in pieces.trees])
+            pairs.append(((table.setdefault(upper, upper), table.setdefault(lower, lower)), coeff))
+    return HckTensor.sum(pairs)
 
 
 def counit(x: HckElem) -> Fraction:
@@ -99,33 +94,31 @@ def counit(x: HckElem) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _antipode_tree(t: CombTree) -> HckElem:
-    acc = HckElem.from_tree(t, -1)
-    for upper, lower in tree_cuts(t):
-        # Proper cuts only: lower nonempty and not the whole tree.
-        if not lower.trees or lower.degree == t.node_count:
-            continue
-        acc = acc - product(antipode(HckElem.from_forest(upper)), HckElem.from_forest(lower))
-    return acc
+    # S(t) = -t - sum over proper cuts (lower part neither empty nor all of t)
+    # of S(upper) * lower.
+    return HckElem.sum(chain(
+        [(Forest([t]), -1)],
+        (
+            (key, -c)
+            for upper, lower in tree_cuts(t)
+            if 0 < lower.degree < t.node_count
+            for key, c in product(antipode(HckElem.from_forest(upper)), HckElem.from_forest(lower)).terms.items()
+        ),
+    ))
 
 
 def antipode(x: HckElem) -> HckElem:
     """Convolution inverse of the identity, extended multiplicatively."""
-    total = HckElem.zero()
-    for forest, coeff in x.terms.items():
-        term = HckElem.one()
-        for t in forest.trees:
-            term = product(term, _antipode_tree(t))
-        total = total + term.scale(coeff)
-    return total
+    return HckElem.sum(
+        (key, coeff * c)
+        for forest, coeff in x.terms.items()
+        for key, c in reduce(product, map(_antipode_tree, forest.trees), HckElem.one()).terms.items()
+    )
 
 
 def bplus(x: HckElem) -> HckElem:
     """Linear extension of grafting a forest under a new root."""
-    acc: dict[Forest, Fraction] = {}
-    for forest, coeff in x.terms.items():
-        key = Forest([graft(forest)])
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-    return HckElem(acc)
+    return HckElem.sum((Forest([graft(forest)]), coeff) for forest, coeff in x.terms.items())
 
 
 def parse_elem(s: str) -> HckElem:
@@ -133,26 +126,25 @@ def parse_elem(s: str) -> HckElem:
     s = s.strip()
     if s == "0":
         return HckElem.zero()
-    acc: dict[Forest, Fraction] = {}
+    pairs = []
     for part in s.split(" + "):
         coeff_text, _, forest_text = part.partition("*")
         if not forest_text:
             raise MalformedCode(f"term without forest: {part!r}")
-        forest = parse_forest(forest_text)
-        acc[forest] = acc.get(forest, Fraction(0)) + Fraction(coeff_text)
-    return HckElem(acc)
+        pairs.append((parse_forest(forest_text), Fraction(coeff_text)))
+    return HckElem.sum(pairs)
 
 
 def check_cocycle(degree_bound: int) -> CheckReport:
     """Verify the 1-cocycle identity for grafting on all small forests."""
+    table: dict = {}
 
     def law(f: Forest):
-        lhs = coproduct(bplus(HckElem.from_forest(f)))
-        rhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
-        for (upper, lower), c in coproduct(f).terms.items():
-            key = (upper, Forest([graft(lower)]))
-            rhs_terms[key] = rhs_terms.get(key, Fraction(0)) + c
-        rhs = HckTensor(rhs_terms) + HckTensor({(Forest([graft(f)]), EMPTY_FOREST): 1})
+        lhs = coproduct(bplus(HckElem.from_forest(f)), table)
+        rhs = HckTensor.sum(chain(
+            (((upper, Forest([graft(lower)])), c) for (upper, lower), c in coproduct(f, table).terms.items()),
+            [((Forest([graft(f)]), EMPTY_FOREST), 1)],
+        ))
         return None if lhs == rhs else (rhs.text(), lhs.text())
 
     return check_each("cocycle", up_to(enumerate_forests, degree_bound), law)
@@ -161,18 +153,17 @@ def check_cocycle(degree_bound: int) -> CheckReport:
 def check_coassociativity(degree_bound: int) -> CheckReport:
     """Verify (coproduct x Id) and (Id x coproduct) agree on small forests."""
     forests = up_to(enumerate_forests, degree_bound)
-    return check_coassociative("coassociativity", forests, coproduct)
+    return check_coassociative("coassociativity", forests, partial(coproduct, table={}))
 
 
 def check_counit(degree_bound: int) -> CheckReport:
     """Verify both counit laws on all small forests."""
+    table: dict = {}
 
     def law(f: Forest):
-        left = HckElem.zero()
-        right = HckElem.zero()
-        for (a, b), c in coproduct(f).terms.items():
-            left = left + HckElem.from_forest(b, c * counit(HckElem.from_forest(a)))
-            right = right + HckElem.from_forest(a, c * counit(HckElem.from_forest(b)))
+        delta = coproduct(f, table).terms.items()
+        left = HckElem.sum((b, c * counit(HckElem.from_forest(a))) for (a, b), c in delta)
+        right = HckElem.sum((a, c * counit(HckElem.from_forest(b))) for (a, b), c in delta)
         expected = HckElem.from_forest(f)
         if left != expected or right != expected:
             return (expected.text(), f"left={left.text()} right={right.text()}")
@@ -183,11 +174,14 @@ def check_counit(degree_bound: int) -> CheckReport:
 
 def check_antipode(degree_bound: int) -> CheckReport:
     """Verify m(S x Id)coproduct = unit*counit on all small forests."""
+    table: dict = {}
 
     def law(f: Forest):
-        acc = HckElem.zero()
-        for (a, b), c in coproduct(f).terms.items():
-            acc = acc + product(antipode(HckElem.from_forest(a)), HckElem.from_forest(b)).scale(c)
+        acc = HckElem.sum(
+            (key, c * d)
+            for (a, b), c in coproduct(f, table).terms.items()
+            for key, d in product(antipode(HckElem.from_forest(a)), HckElem.from_forest(b)).terms.items()
+        )
         expected = HckElem.one() if f == EMPTY_FOREST else HckElem.zero()
         return None if acc == expected else (expected.text(), acc.text())
 

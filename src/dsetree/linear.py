@@ -9,7 +9,8 @@ exact :class:`fractions.Fraction` values and zero terms are never stored.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from itertools import chain
+from typing import Iterable, Mapping, Optional, Union
 
 from .trees import EMPTY_FOREST, CombTree, Forest
 
@@ -27,8 +28,19 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Key, Scalar] = ()):
-        clean = {k: Fraction(c) for k, c in dict(terms).items() if c != 0}
+        clean = {k: c if type(c) is Fraction else Fraction(c) for k, c in dict(terms).items() if c}
         self.terms: dict[Key, Fraction] = clean
+
+    @staticmethod
+    def sum(pairs: Iterable[tuple[Key, Scalar]]) -> "LinComb":
+        """Add up ``(key, coefficient)`` pairs; keys whose sum is zero are dropped."""
+        acc: dict[Key, Scalar] = {}
+        for k, c in pairs:
+            if k in acc:
+                acc[k] += c
+            else:
+                acc[k] = c
+        return LinComb(acc)
 
     @staticmethod
     def zero() -> "LinComb":
@@ -53,10 +65,7 @@ class LinComb:
         return LinComb({Forest([t]): coeff})
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return LinComb(acc)
+        return LinComb.sum(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + other.scale(-1)
@@ -66,23 +75,20 @@ class LinComb:
 
     def product(self, other: "LinComb", degree_bound: Optional[int] = None) -> "LinComb":
         """Bilinear extension of multiset union, dropping products above the bound."""
-        acc: dict[Forest, Fraction] = {}
-        for f, c in self.terms.items():
-            for g, d in other.terms.items():
-                if degree_bound is not None and f.degree + g.degree > degree_bound:
-                    continue
-                key = f.union(g)
-                acc[key] = acc.get(key, Fraction(0)) + c * d
-        return LinComb(acc)
+        return LinComb.sum(
+            (f.union(g), c * d)
+            for f, c in self.terms.items()
+            for g, d in other.terms.items()
+            if degree_bound is None or f.degree + g.degree <= degree_bound
+        )
 
     def tensor_product(self, other: "LinComb") -> "LinComb":
         """Product in the tensor square: factorwise multiset union of pairs."""
-        acc: dict[tuple[Forest, Forest], Fraction] = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                key = (l1.union(l2), r1.union(r2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return LinComb(acc)
+        return LinComb.sum(
+            ((l1.union(l2), r1.union(r2)), c1 * c2)
+            for (l1, r1), c1 in self.terms.items()
+            for (l2, r2), c2 in other.terms.items()
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinComb) and self.terms == other.terms

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product as iproduct
-from typing import Iterable, Optional, Union
+from itertools import chain, product as iproduct
+from typing import Iterable, Optional
 
 from . import hopf
 from .errors import SizeLimit
 from .linear import LinComb
-from .ptrees import NIL, Operation, PTree, Signature, core, core_forest, enumerate_by_nodes
+from .ptrees import Operation, PTree, Signature, core, core_forest, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import EMPTY_FOREST, Forest
 
@@ -32,56 +32,11 @@ OpElem = LinComb
 OpTensor = LinComb
 
 
-def ptree_cuts(t: PTree, table: Optional[dict] = None) -> tuple[tuple[Forest, PTree], ...]:
-    """All cuts of ``t`` as (crown, lower tree) pairs.
-
-    Lower trees range over root subtrees (down-closed node sets, the empty
-    set giving the bare root edge); the crown carries one piece per leaf
-    edge of the lower tree, a bare edge when that leaf edge was an original
-    leaf of ``t``.
-
-    ``table`` caches the work of one computation: it maps every tree met to
-    its cuts and every forest met to one shared copy of it.  Without it a
-    fresh table is used.
-    """
-    if table is None:
-        table = {}
-    cuts = table.get(t)
-    if cuts is not None:
-        return cuts
-    whole = Forest([t])
-    found: list[tuple[Forest, PTree]] = [(table.setdefault(whole, whole), NIL)]
-    if not t.is_nil():
-        for combo in iproduct(*(ptree_cuts(c, table) for c in t.children)):
-            crown = Forest([piece for pieces, _ in combo for piece in pieces.trees])
-            lower = Forest([PTree(t.op, tuple(rest for _, rest in combo))])
-            found.append((table.setdefault(crown, crown), table.setdefault(lower, lower).trees[0]))
-    cuts = table[t] = tuple(found)
-    return cuts
-
-
-def op_coproduct(x: Union[PTree, Forest], table: Optional[dict] = None) -> LinComb:
-    """Cut coproduct, extended multiplicatively to forests.
-
-    ``table`` is the cache of :func:`ptree_cuts`; the factors of the result
-    are its shared forests.
-    """
-    if table is None:
-        table = {}
-    if isinstance(x, PTree):
-        x = Forest([x])
-    pairs: list[tuple[Forest, Forest]] = [(EMPTY_FOREST, EMPTY_FOREST)]
-    for t in x.trees:
-        pairs = [
-            (crown_acc.union(crown), lower_acc.union(Forest([lower])))
-            for crown_acc, lower_acc in pairs
-            for crown, lower in ptree_cuts(t, table)
-        ]
-    acc: dict[tuple[Forest, Forest], int] = {}
-    for crown, lower in pairs:
-        key = (table.setdefault(crown, crown), table.setdefault(lower, lower))
-        acc[key] = acc.get(key, 0) + 1
-    return LinComb(acc)
+# Cuts and the coproduct are those of :mod:`dsetree.hopf`, which serve both
+# kinds of tree: here the lower factor of the cut under the root is the bare
+# root edge, and a cut splits edges rather than removing them.
+ptree_cuts = hopf.tree_cuts
+op_coproduct = hopf.coproduct
 
 
 def op_counit(f: Forest) -> Fraction:
@@ -116,20 +71,19 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
     bound; returns the first violation in deterministic order, or None.
     """
     pool = up_to(partial(enumerate_by_nodes, sig), node_bound)
+    table: dict = {}
     for op in sig.ops:
         for args in iproduct(pool, repeat=op.arity):
             if sum(t.node_count for t in args) > node_bound:
                 continue
             built = op_bplus(op, args)
-            lhs = op_coproduct(built)
-            rhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
-            for combo in iproduct(*(ptree_cuts(t) for t in args)):
-                crown: list[PTree] = []
-                for piece, _ in combo:
-                    crown.extend(piece.trees)
-                key = (Forest(crown), Forest([PTree(op, tuple(r for _, r in combo))]))
-                rhs_terms[key] = rhs_terms.get(key, Fraction(0)) + 1
-            rhs = LinComb(rhs_terms) + LinComb({(Forest([built]), EMPTY_FOREST): 1})
+            lhs = op_coproduct(built, table)
+            # The cocycle identity puts the empty forest, not the bare root
+            # edge, below the cut under the root.
+            rhs = LinComb.sum(chain(
+                ((cut, 1) for cut in ptree_cuts(built, table)[1:]),
+                [((Forest([built]), EMPTY_FOREST), 1)],
+            ))
             if lhs != rhs:
                 return CocycleWitness(op, tuple(args), lhs, rhs)
     return None
@@ -156,12 +110,10 @@ def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
         return found
 
     def law(t: PTree):
-        lhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
-        for (crown, lower), c in op_coproduct(t, table).terms.items():
-            key = (core_of(crown), core_of(lower))
-            lhs_terms[key] = lhs_terms.get(key, 0) + c
-        lhs = LinComb(lhs_terms)
-        rhs = hopf.coproduct(core(t))
+        lhs = LinComb.sum(
+            ((core_of(crown), core_of(lower)), c) for (crown, lower), c in op_coproduct(t, table).terms.items()
+        )
+        rhs = hopf.coproduct(core(t), table)
         return None if lhs == rhs else (rhs.text(), lhs.text())
 
     trees = up_to(partial(enumerate_by_nodes, sig), node_bound)
@@ -201,25 +153,21 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
     expansion, restricted (exactly) to tensor terms of total node count up to
     the bound."""
     series = green(sig, node_bound)
-    lhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
-    for t, w in series.weights:
-        for key, c in op_coproduct(t).terms.items():
-            lhs_terms[key] = lhs_terms.get(key, Fraction(0)) + c * w
-    lhs = LinComb(lhs_terms)
+    table: dict = {}
+    lhs = LinComb.sum(
+        (key, c * w) for t, w in series.weights for key, c in op_coproduct(t, table).terms.items()
+    )
 
     total = series.total()
-    rhs_terms: dict[tuple[Forest, Forest], Fraction] = {}
+    pairs = []
     power = LinComb.one()
     for n in range(series.max_leaves() + 1):
-        g_n = series.leaf_component(n)
-        for f, c in power.terms.items():
-            for g, d in g_n.terms.items():
-                if f.degree + g.degree > node_bound:
-                    continue
-                key = (f, g)
-                rhs_terms[key] = rhs_terms.get(key, Fraction(0)) + c * d
+        g_n = series.leaf_component(n).terms.items()
+        pairs.extend(
+            ((f, g), c * d) for f, c in power.terms.items() for g, d in g_n if f.degree + g.degree <= node_bound
+        )
         power = power.product(total, degree_bound=node_bound)
-    rhs = LinComb(rhs_terms)
+    rhs = LinComb.sum(pairs)
 
     if lhs == rhs:
         return CheckReport("Faa di Bruno", True, len(series.weights))

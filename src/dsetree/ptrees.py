@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as iproduct
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
 from .trees import CombTree, EMPTY_FOREST, Forest
@@ -43,6 +43,10 @@ class Signature:
             raise ValueError("arities must be nonnegative")
         if any("(" in n or ")" in n or "," in n or "|" in n for n in names):
             raise ValueError("operation names may not contain tree-codec characters")
+        # A nameless nullary node would print as "()", the code of a
+        # combinatorial leaf, and forests of both kinds may share one cut table.
+        if not all(names):
+            raise ValueError("operation names must be nonempty")
 
     def op(self, name: str) -> Operation:
         for op in self.ops:
@@ -82,6 +86,10 @@ class PTree:
     def is_nil(self) -> bool:
         return self.op is None
 
+    def with_children(self, children: Iterable["PTree"]) -> "PTree":
+        """A node of this tree's operation over the given children, in slot order."""
+        return PTree(self.op, tuple(children))
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PTree) and self.code == other.code
 
@@ -96,6 +104,10 @@ class PTree:
 
 
 NIL = PTree()
+
+# What lies below the cut under the root: the cut edge is split, so the root
+# edge stays as a bare edge.
+PTree.stump = Forest([NIL])
 
 
 def parse_ptree(s: str, sig: Signature) -> PTree:
@@ -212,12 +224,18 @@ def enumerate_by_leaves(
     """All trees over ``sig`` with exactly ``n`` leaves, in code order.
 
     Signatures with nullary or unary operations have infinitely many trees
-    per leaf count, so they require an explicit ``node_bound``.
+    per leaf count, so they require an explicit ``node_bound``, which lies in
+    ``0..MAX_NODES`` like the node count of :func:`enumerate_by_nodes`.
     """
     if n < 0:
         raise ValueError("leaf count must be nonnegative")
     if n > limit:
         raise SizeLimit(f"leaf enumeration capped at {limit}, got {n}")
+    if node_bound is not None:
+        if node_bound < 0:
+            raise ValueError("node bound must be nonnegative")
+        if node_bound > MAX_NODES:
+            raise SizeLimit(f"node enumeration capped at {MAX_NODES}, got node bound {node_bound}")
     if sig.has_small_arities():
         if node_bound is None:
             raise Nonfinite(

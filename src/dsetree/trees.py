@@ -38,6 +38,10 @@ class CombTree:
     def __lt__(self, other: "CombTree") -> bool:
         return self.code < other.code
 
+    def with_children(self, children: Iterable["CombTree"]) -> "CombTree":
+        """A tree whose root has the given children, in any order."""
+        return CombTree(children)
+
     def __repr__(self) -> str:
         return f"CombTree({self.code!r})"
 
@@ -83,6 +87,9 @@ class Forest:
 
 
 EMPTY_FOREST = Forest()
+
+# What lies below the cut under the root: removing the root edge leaves nothing.
+CombTree.stump = EMPTY_FOREST
 
 
 def canon_code(t: CombTree) -> str:

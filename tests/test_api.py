@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import dsetree
 from dsetree.hopf import HckElem, HckTensor
+from dsetree.linear import LinComb
 from dsetree.opbialg import EMPTY_OPFOREST, OpForest
 from dsetree.ptrees import NIL
 from dsetree.trees import EMPTY_FOREST, LEAF, Forest, parse_forest
@@ -52,3 +53,14 @@ def test_operadic_forest_of_bare_edge_is_not_the_unit():
     assert OpForest([NIL]) != EMPTY_OPFOREST
     assert OpForest([NIL]).degree == EMPTY_OPFOREST.degree == 0
     assert OpForest([NIL]).code == "|" and EMPTY_OPFOREST.code == "1"
+
+
+def test_lincomb_sum_drops_cancelled_keys_and_holds_fractions():
+    a, b = parse_forest("()"), parse_forest("(())")
+    total = LinComb.sum([(a, 1), (b, Fraction(1, 2)), (a, -1), (b, 2), ((a, b), Fraction(1, 3))])
+    assert total.terms == {b: Fraction(5, 2), (a, b): Fraction(1, 3)}
+    ints = LinComb.sum([(a, 2), (a, 1)])
+    assert ints.terms == {a: 3}
+    assert all(type(c) is Fraction for c in (*total.terms.values(), *ints.terms.values()))
+    assert LinComb.sum([(a, Fraction(1, 3)), (a, Fraction(-1, 3))]).is_zero()
+    assert LinComb.sum([]).is_zero()

@@ -75,15 +75,28 @@ def test_fold_demo_nat():
 
 def test_usage_errors_exit_2():
     assert run_cli("solve", "--spec", "quadratic", "--order", "99").returncode == 2
+    for bound in ("40", "-3"):
+        result = run_cli("enumerate", "--signature", "identity", "--by", "leaves", "--n", "1", "--node-bound", bound)
+        assert result.returncode == 2, bound
+        assert result.stderr == "error: --node-bound must lie in 0..8\n"
     assert run_cli("solve", "--order", "2").returncode == 2  # missing --spec
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("solve", "--spec", "/nonexistent.json", "--order", "2").returncode == 2
 
 
 def test_malformed_spec_file_exits_2(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run_cli("solve", "--spec", str(bad), "--order", "2").returncode == 2
+    term = {"alpha_power": 1, "coeff": "1", "x_power": 2}
+    docs = [
+        "{not json",
+        json.dumps({"order": 2, "terms": [dict(term, alpha_power=1.9, x_power=2.5)]}),
+        json.dumps({"order": 2, "terms": [dict(term, alpha_power=True)]}),
+        json.dumps({"order": 2, "terms": [dict(term, x_power="2")]}),
+        json.dumps({"order": 2.0, "terms": [term]}),
+    ]
+    for i, doc in enumerate(docs):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(doc)
+        assert run_cli("solve", "--spec", str(bad), "--order", "2").returncode == 2, doc
 
 
 def test_spec_file_accepted(tmp_path):

@@ -23,11 +23,13 @@ from dsetree.ptrees import (
     NIL,
     PTree,
     binary_signature,
+    core,
     enumerate_by_nodes,
     identity_signature,
     stable_signature,
 )
 from dsetree.report import up_to
+from dsetree.trees import enumerate_forests
 
 BIN = binary_signature()
 B = BIN.op("b")
@@ -184,17 +186,22 @@ def test_shared_table_changes_no_result_and_shares_each_code():
         for b in trees[i:]
         if a.node_count + b.node_count <= 4
     ]
+    comb_forests = up_to(enumerate_forests, 5)
+    comb_trees = [f.trees[0] for f in comb_forests if len(f.trees) == 1]
     table = {}
     shared = {}
 
     def is_shared(x):
         return shared.setdefault((type(x), x.code), x) is x
 
-    for t in trees:
+    for t in trees + comb_trees:
         cuts = ptree_cuts(t, table)
         assert cuts == ptree_cuts(t)
         assert all(is_shared(crown) and is_shared(lower) for crown, lower in cuts)
-    for x in trees + forests:
+    # A decorated tree and its core share the table, as in the
+    # core-homomorphism check.
+    with_cores = [y for t in trees for y in (t, core(t))]
+    for x in with_cores + forests + comb_trees + comb_forests:
         delta = op_coproduct(x, table)
         assert delta == op_coproduct(x)
         assert all(is_shared(crown) and is_shared(lower) for crown, lower in delta.terms)

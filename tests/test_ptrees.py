@@ -32,6 +32,8 @@ def test_signature_validation():
         Signature((Operation("a", 1), Operation("a", 2)))
     with pytest.raises(ValueError):
         Signature((Operation("a(", 1),))
+    with pytest.raises(ValueError):
+        Signature((Operation("", 0), Operation("b", 2)))
     with pytest.raises(ArityMismatch):
         PTree(B, (NIL,))
 
@@ -96,6 +98,8 @@ def test_leaf_enumeration_needs_node_bound_for_small_arities():
         enumerate_by_leaves(sig, 2)
     found = enumerate_by_leaves(sig, 2, node_bound=2)
     assert all(t.leaf_count == 2 for t in found)
+    with pytest.raises(ValueError):
+        enumerate_by_leaves(sig, 2, node_bound=-3)
 
 
 def test_size_limits():
@@ -103,6 +107,8 @@ def test_size_limits():
         enumerate_by_nodes(BIN, 13)
     with pytest.raises(SizeLimit):
         enumerate_by_leaves(stable_signature(4), 11)
+    with pytest.raises(SizeLimit):
+        enumerate_by_leaves(identity_signature(), 1, node_bound=13)
     with pytest.raises(SizeLimit):
         kleene_layer(BIN, 10)
 

@@ -2,9 +2,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 
-from dsetree.hopf import coproduct
+from dsetree import hopf
+from dsetree.hopf import check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
-from dsetree.opbialg import op_coproduct
+from dsetree.opbialg import check_core_homomorphism, op_coproduct
 from dsetree.ptrees import binary_signature, enumerate_by_nodes, stable_signature
 from dsetree.report import check_coassociative, up_to
 from dsetree.trees import enumerate_forests
@@ -17,8 +18,8 @@ STABLE3_TREES = up_to(partial(enumerate_by_nodes, stable_signature(3)), 3)
 def drop_one_cut(delta):
     """The coproduct with, per input, its last cut with both sides nonempty removed."""
 
-    def mutant(x):
-        terms = dict(delta(x).terms)
+    def mutant(x, *args, **kwargs):
+        terms = dict(delta(x, *args, **kwargs).terms)
         proper = [k for k in terms if k[0].degree and k[1].degree]
         if proper:
             del terms[max(proper, key=lambda k: (k[0].code, k[1].code))]
@@ -30,12 +31,33 @@ def drop_one_cut(delta):
 def off_by_one(delta):
     """The coproduct with, per input, the coefficient of its first term raised by one."""
 
-    def mutant(x):
-        terms = dict(delta(x).terms)
+    def mutant(x, *args, **kwargs):
+        terms = dict(delta(x, *args, **kwargs).terms)
         terms[min(terms, key=lambda k: (k[0].code, k[1].code))] += 1
         return LinComb(terms)
 
     return mutant
+
+
+def swap_factors(delta):
+    """The coproduct with the two factors of every term exchanged."""
+
+    def mutant(x, *args, **kwargs):
+        return LinComb({(b, a): c for (a, b), c in delta(x, *args, **kwargs).terms.items()})
+
+    return mutant
+
+
+# Each law check with the coproduct mutants it must report.  A law blind to a
+# mutant is not paired with it: the counit laws ignore the cuts with both
+# factors nonempty, and in a commutative algebra the counit and antipode laws
+# also hold for the coproduct with its factors swapped.
+LAW_CHECKS = (
+    (partial(check_counit, 4), (off_by_one,)),
+    (partial(check_antipode, 4), (drop_one_cut, off_by_one)),
+    (partial(check_cocycle, 4), (drop_one_cut, off_by_one, swap_factors)),
+    (partial(check_core_homomorphism, binary_signature(), 4), (drop_one_cut, off_by_one, swap_factors)),
+)
 
 
 def test_up_to_lists_each_size_in_code_order():
@@ -76,3 +98,14 @@ def test_coassociativity_driver_coefficients():
         assert not check_coassociative("off by one", inputs, off_by_one(delta)).passed
         third = check_coassociative("scaled", inputs, lambda x: delta(x).scale(Fraction(1, 3)))
         assert third.passed
+
+
+def test_law_checks_report_coproduct_mutants(monkeypatch):
+    # The core-homomorphism check meets the mutant only on its Hopf side;
+    # the operadic coproduct is bound in opbialg and stays true.
+    for check, mutants in LAW_CHECKS:
+        assert check().passed, check.func.__name__
+        for mutant in mutants:
+            with monkeypatch.context() as patch:
+                patch.setattr(hopf, "coproduct", mutant(hopf.coproduct))
+                assert not check().passed, (check.func.__name__, mutant.__name__)
