@@ -110,11 +110,10 @@ def _cmd_green(args: argparse.Namespace) -> int:
         raise SystemExit(_usage_error(f"--bound must lie in 0..{MAX_NODE_BOUND}"))
     sig = _load_signature(args.signature)
     series = opbialg.green(sig, args.bound)
-    payload = {}
-    for n in range(series.max_leaves() + 1):
-        component = series.leaf_component(n)
-        if component.terms:
-            payload[f"g_{n}"] = sorted(f.code for f in component.terms)
+    by_leaves: dict[int, list[str]] = {}
+    for t, _ in series.weights:
+        by_leaves.setdefault(t.leaf_count, []).append(t.code)
+    payload = {f"g_{n}": sorted(by_leaves[n]) for n in sorted(by_leaves)}
     if args.format == "structured":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -75,19 +75,27 @@ def series_power(s: Series, m: int, j: int) -> HckElem:
 
 
 def _power_coefficient(coeffs: Sequence[HckElem], m: int, j: int) -> HckElem:
-    # Convolution over compositions of j into m parts, built iteratively.
-    current = [HckElem.one()] + [HckElem.zero()] * j
-    for _ in range(m):
-        current = [
+    # Square and multiply on the series truncated at degree j: O(log m)
+    # truncated products, whatever c_0 is.
+    def times(x: Sequence[HckElem], y: Sequence[HckElem]) -> list[HckElem]:
+        return [
             HckElem.sum(
                 term
                 for a in range(i + 1)
-                if not current[a].is_zero() and not coeffs[i - a].is_zero()
-                for term in product(current[a], coeffs[i - a]).terms.items()
+                if not x[a].is_zero() and not y[i - a].is_zero()
+                for term in product(x[a], y[i - a]).terms.items()
             )
             for i in range(j + 1)
         ]
-    return current[j]
+
+    result, base = [HckElem.one()] + [HckElem.zero()] * j, coeffs[: j + 1]
+    while m:
+        if m & 1:
+            result = times(result, base)
+        m >>= 1
+        if m:
+            base = times(base, base)
+    return result[j]
 
 
 def _rhs(spec: DSESpec, coeffs: Sequence[HckElem], k: int) -> HckElem:
@@ -157,7 +165,7 @@ def spec_from_dict(data: dict, name: str = "") -> DSESpec:
             for t in data["terms"]
         )
         order = _integer(data, "order")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidSpec(f"malformed equation document: {exc}") from exc
     return DSESpec(terms, order, name=name)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 from .trees import EMPTY_FOREST, CombTree, Forest
 
@@ -73,14 +73,9 @@ class LinComb:
     def scale(self, s: Scalar) -> "LinComb":
         return LinComb({k: c * s for k, c in self.terms.items()})
 
-    def product(self, other: "LinComb", degree_bound: Optional[int] = None) -> "LinComb":
-        """Bilinear extension of multiset union, dropping products above the bound."""
-        return LinComb.sum(
-            (f.union(g), c * d)
-            for f, c in self.terms.items()
-            for g, d in other.terms.items()
-            if degree_bound is None or f.degree + g.degree <= degree_bound
-        )
+    def product(self, other: "LinComb") -> "LinComb":
+        """Bilinear extension of multiset union."""
+        return LinComb.sum((f.union(g), c * d) for f, c in self.terms.items() for g, d in other.terms.items())
 
     def tensor_product(self, other: "LinComb") -> "LinComb":
         """Product in the tensor square: factorwise multiset union of pairs."""

@@ -158,15 +158,24 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
         (key, c * w) for t, w in series.weights for key, c in op_coproduct(t, table).terms.items()
     )
 
+    def bounded(x: LinComb, y: LinComb) -> list:
+        """Term pairs ``(f, c, g, d)`` of ``x`` and ``y`` with degrees summing to at most
+        the bound; each degree is read off its code once, not once per pair."""
+        sized = [(g, d, g.degree) for g, d in y.terms.items()]
+        return [
+            (f, c, g, d)
+            for f, c in x.terms.items()
+            for room in [node_bound - f.degree]
+            for g, d, size in sized
+            if size <= room
+        ]
+
     total = series.total()
     pairs = []
     power = LinComb.one()
     for n in range(series.max_leaves() + 1):
-        g_n = series.leaf_component(n).terms.items()
-        pairs.extend(
-            ((f, g), c * d) for f, c in power.terms.items() for g, d in g_n if f.degree + g.degree <= node_bound
-        )
-        power = power.product(total, degree_bound=node_bound)
+        pairs.extend(((f, g), c * d) for f, c, g, d in bounded(power, series.leaf_component(n)))
+        power = LinComb.sum((f.union(g), c * d) for f, c, g, d in bounded(power, total))
     rhs = LinComb.sum(pairs)
 
     if lhs == rhs:

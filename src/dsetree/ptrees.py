@@ -15,7 +15,7 @@ from itertools import combinations, product as iproduct
 from typing import Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
-from .trees import CombTree, EMPTY_FOREST, Forest
+from .trees import Canonical, CombTree, EMPTY_FOREST, Forest
 
 MAX_NODES = 12
 MAX_LEAVES = 10
@@ -25,8 +25,21 @@ MAX_LAYER_SIZE = 200_000
 
 @dataclass(frozen=True)
 class Operation:
+    """A named operation with ``arity`` ordered input slots.  Names avoid the
+    codec characters, so node and leaf counts can be read off a tree's code."""
+
     name: str
     arity: int
+
+    def __post_init__(self) -> None:
+        if self.arity < 0:
+            raise ValueError("arities must be nonnegative")
+        if any(c in self.name for c in "(),|"):
+            raise ValueError("operation names may not contain tree-codec characters")
+        # A nameless nullary node would print as "()", the code of a
+        # combinatorial leaf, and forests of both kinds may share one cut table.
+        if not self.name:
+            raise ValueError("operation names must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -36,17 +49,8 @@ class Signature:
     ops: tuple[Operation, ...]
 
     def __post_init__(self) -> None:
-        names = [op.name for op in self.ops]
-        if len(set(names)) != len(names):
+        if len({op.name for op in self.ops}) != len(self.ops):
             raise ValueError("operation names must be unique")
-        if any(op.arity < 0 for op in self.ops):
-            raise ValueError("arities must be nonnegative")
-        if any("(" in n or ")" in n or "," in n or "|" in n for n in names):
-            raise ValueError("operation names may not contain tree-codec characters")
-        # A nameless nullary node would print as "()", the code of a
-        # combinatorial leaf, and forests of both kinds may share one cut table.
-        if not all(names):
-            raise ValueError("operation names must be nonempty")
 
     def op(self, name: str) -> Operation:
         for op in self.ops:
@@ -58,30 +62,33 @@ class Signature:
         return any(op.arity <= 1 for op in self.ops)
 
 
-class PTree:
+class PTree(Canonical):
     """A decorated operadic tree: the bare edge, or a node over subtrees."""
 
-    __slots__ = ("op", "children", "code", "node_count", "leaf_count", "height")
+    __slots__ = ("op", "children")
 
     def __init__(self, op: Optional[Operation] = None, children: tuple["PTree", ...] = ()):
         if op is None:
             if children:
                 raise ArityMismatch("the bare edge has no children")
             self.code = "|"
-            self.node_count = 0
-            self.leaf_count = 1
-            self.height = 0
         else:
             if len(children) != op.arity:
                 raise ArityMismatch(
                     f"operation {op.name} has arity {op.arity}, got {len(children)} children"
                 )
             self.code = op.name + "(" + ",".join(c.code for c in children) + ")"
-            self.node_count = 1 + sum(c.node_count for c in children)
-            self.leaf_count = sum(c.leaf_count for c in children)
-            self.height = 1 + max((c.height for c in children), default=0)
         self.op = op
         self.children = tuple(children)
+
+    @property
+    def leaf_count(self) -> int:
+        return self.code.count("|")
+
+    @property
+    def height(self) -> int:
+        """Nodes on the longest path from the root; 0 for the bare edge."""
+        return 0 if self.op is None else 1 + max((c.height for c in self.children), default=0)
 
     def is_nil(self) -> bool:
         return self.op is None
@@ -89,18 +96,6 @@ class PTree:
     def with_children(self, children: Iterable["PTree"]) -> "PTree":
         """A node of this tree's operation over the given children, in slot order."""
         return PTree(self.op, tuple(children))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PTree) and self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __lt__(self, other: "PTree") -> bool:
-        return self.code < other.code
-
-    def __repr__(self) -> str:
-        return f"PTree({self.code!r})"
 
 
 NIL = PTree()
@@ -191,12 +186,12 @@ def _by_nodes(sig: Signature, n: int) -> tuple[PTree, ...]:
     return tuple(sorted(out))
 
 
-def enumerate_by_nodes(sig: Signature, n: int, limit: int = MAX_NODES) -> list[PTree]:
+def enumerate_by_nodes(sig: Signature, n: int) -> list[PTree]:
     """All trees over ``sig`` with exactly ``n`` nodes, in code order."""
     if n < 0:
         raise ValueError("node count must be nonnegative")
-    if n > limit:
-        raise SizeLimit(f"node enumeration capped at {limit}, got {n}")
+    if n > MAX_NODES:
+        raise SizeLimit(f"node enumeration capped at {MAX_NODES}, got {n}")
     return list(_by_nodes(sig, n))
 
 
@@ -215,12 +210,7 @@ def _by_leaves(sig: Signature, n: int) -> tuple[PTree, ...]:
     return tuple(sorted(out))
 
 
-def enumerate_by_leaves(
-    sig: Signature,
-    n: int,
-    node_bound: Optional[int] = None,
-    limit: int = MAX_LEAVES,
-) -> list[PTree]:
+def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None) -> list[PTree]:
     """All trees over ``sig`` with exactly ``n`` leaves, in code order.
 
     Signatures with nullary or unary operations have infinitely many trees
@@ -229,8 +219,8 @@ def enumerate_by_leaves(
     """
     if n < 0:
         raise ValueError("leaf count must be nonnegative")
-    if n > limit:
-        raise SizeLimit(f"leaf enumeration capped at {limit}, got {n}")
+    if n > MAX_LEAVES:
+        raise SizeLimit(f"leaf enumeration capped at {MAX_LEAVES}, got {n}")
     if node_bound is not None:
         if node_bound < 0:
             raise ValueError("node bound must be nonnegative")
@@ -248,12 +238,12 @@ def enumerate_by_leaves(
     return list(_by_leaves(sig, n))
 
 
-def kleene_layer(sig: Signature, k: int, limit: int = MAX_HEIGHT) -> set[PTree]:
+def kleene_layer(sig: Signature, k: int) -> set[PTree]:
     """The ``k``-th stage of the fixpoint iteration: all trees of height < k."""
     if k < 0:
         raise ValueError("stage index must be nonnegative")
-    if k > limit:
-        raise SizeLimit(f"fixpoint iteration capped at stage {limit}, got {k}")
+    if k > MAX_HEIGHT:
+        raise SizeLimit(f"fixpoint iteration capped at stage {MAX_HEIGHT}, got {k}")
     layer: set[PTree] = set()
     for _ in range(k):
         nxt = {NIL}
@@ -279,18 +269,15 @@ def core(t: PTree) -> Forest:
 
 def core_forest(trees) -> Forest:
     """Memberwise core of a collection of trees, as one combined forest."""
-    members: list[CombTree] = []
-    for t in trees:
-        members.extend(core(t).trees)
-    return Forest(members)
+    return Forest(_core_tree(t) for t in trees if not t.is_nil())
 
 
-def core_census(sig: Signature, k: int, by: str = "nodes", **kwargs) -> dict[Forest, int]:
+def core_census(sig: Signature, k: int, by: str = "nodes") -> dict[Forest, int]:
     """Count trees (with ``k`` nodes or leaves) grouped by their core."""
     if by == "nodes":
-        population = enumerate_by_nodes(sig, k, **kwargs)
+        population = enumerate_by_nodes(sig, k)
     elif by == "leaves":
-        population = enumerate_by_leaves(sig, k, **kwargs)
+        population = enumerate_by_leaves(sig, k)
     else:
         raise ValueError("by must be 'nodes' or 'leaves'")
     return dict(Counter(core(t) for t in population))

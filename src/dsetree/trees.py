@@ -18,72 +18,72 @@ from .errors import MalformedCode, SizeLimit
 MAX_ENUM_NODES = 12
 
 
-class CombTree:
+class Canonical:
+    """A value that stores only its canonical code: equality needs the same
+    class and code, and sizes are read off the code, where every node prints
+    exactly one ``"("``."""
+
+    __slots__ = ("code",)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.code == other.code
+
+    def __hash__(self) -> int:
+        return hash(self.code)
+
+    def __lt__(self, other: "Canonical") -> bool:
+        return self.code < other.code
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.code!r})"
+
+    @property
+    def node_count(self) -> int:
+        return self.code.count("(")
+
+
+class CombTree(Canonical):
     """An unordered rooted tree, stored in canonical form."""
 
-    __slots__ = ("children", "code", "node_count")
+    __slots__ = ("children",)
 
     def __init__(self, children: Iterable["CombTree"] = ()):
         kids = sorted(children, key=lambda t: t.code)
         self.children: tuple[CombTree, ...] = tuple(kids)
         self.code: str = "(" + "".join(t.code for t in kids) + ")"
-        self.node_count: int = 1 + sum(t.node_count for t in kids)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CombTree) and self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __lt__(self, other: "CombTree") -> bool:
-        return self.code < other.code
 
     def with_children(self, children: Iterable["CombTree"]) -> "CombTree":
         """A tree whose root has the given children, in any order."""
         return CombTree(children)
 
-    def __repr__(self) -> str:
-        return f"CombTree({self.code!r})"
-
 
 LEAF = CombTree()
 
 
-class Forest:
+class Forest(Canonical):
     """A finite multiset of trees, sorted by canonical code.
 
     Members are :class:`CombTree` values, or the decorated trees of
-    :mod:`dsetree.ptrees`; both carry a ``code`` and a ``node_count``.  The
-    empty forest is the multiplicative unit and prints as ``"1"``; otherwise
-    members print joined by ``"*"`` in ascending code order.  A forest of bare
-    edges is nodeless but is not the empty forest.
+    :mod:`dsetree.ptrees`; both are :class:`Canonical`.  The empty forest is
+    the multiplicative unit and prints as ``"1"``; otherwise members print
+    joined by ``"*"`` in ascending code order.  A forest of bare edges is
+    nodeless but is not the empty forest.
     """
 
-    __slots__ = ("trees", "code", "degree")
+    __slots__ = ("trees",)
 
     def __init__(self, trees: Iterable = ()):
         members = sorted(trees, key=lambda t: t.code)
         self.trees: tuple = tuple(members)
         self.code: str = "*".join(t.code for t in members) if members else "1"
-        self.degree: int = sum(t.node_count for t in members)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Forest) and self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __lt__(self, other: "Forest") -> bool:
-        return self.code < other.code
+    degree = Canonical.node_count
 
     def __iter__(self) -> Iterator:
         return iter(self.trees)
 
     def union(self, other: "Forest") -> "Forest":
         return Forest(self.trees + other.trees)
-
-    def __repr__(self) -> str:
-        return f"Forest({self.code!r})"
 
 
 EMPTY_FOREST = Forest()
@@ -159,6 +159,8 @@ def _forests_exact(d: int) -> tuple[Forest, ...]:
     pool: list[CombTree] = []
     for size in range(1, d + 1):
         pool.extend(_trees_exact(size))
+    # Sizes are read off the codes: once per pool member, not once per visit.
+    sizes = [t.node_count for t in pool]
     out: list[Forest] = []
 
     def extend(remaining: int, start: int, chosen: list[CombTree]) -> None:
@@ -166,30 +168,30 @@ def _forests_exact(d: int) -> tuple[Forest, ...]:
             out.append(Forest(chosen))
             return
         for i in range(start, len(pool)):
-            if pool[i].node_count <= remaining:
+            if sizes[i] <= remaining:
                 chosen.append(pool[i])
-                extend(remaining - pool[i].node_count, i, chosen)
+                extend(remaining - sizes[i], i, chosen)
                 chosen.pop()
 
     extend(d, 0, [])
     return tuple(out)
 
 
-def enumerate_comb_trees(n: int, limit: int = MAX_ENUM_NODES) -> set[CombTree]:
+def enumerate_comb_trees(n: int) -> set[CombTree]:
     """All iso-classes of rooted trees with exactly ``n`` nodes."""
     if n < 1:
         raise ValueError("node count must be at least 1")
-    if n > limit:
-        raise SizeLimit(f"tree enumeration capped at {limit} nodes, got {n}")
+    if n > MAX_ENUM_NODES:
+        raise SizeLimit(f"tree enumeration capped at {MAX_ENUM_NODES} nodes, got {n}")
     return set(_trees_exact(n))
 
 
-def enumerate_forests(degree: int, limit: int = MAX_ENUM_NODES) -> set[Forest]:
+def enumerate_forests(degree: int) -> set[Forest]:
     """All forests of exactly the given total node count."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree > limit:
-        raise SizeLimit(f"forest enumeration capped at degree {limit}, got {degree}")
+    if degree > MAX_ENUM_NODES:
+        raise SizeLimit(f"forest enumeration capped at degree {MAX_ENUM_NODES}, got {degree}")
     if degree == 0:
         return {EMPTY_FOREST}
     return set(_forests_exact(degree))

@@ -55,6 +55,12 @@ def test_operadic_forest_of_bare_edge_is_not_the_unit():
     assert OpForest([NIL]).code == "|" and EMPTY_OPFOREST.code == "1"
 
 
+def test_reprs_and_class_sensitive_equality():
+    assert [repr(LEAF), repr(EMPTY_FOREST), repr(NIL)] == ["CombTree('()')", "Forest('1')", "PTree('|')"]
+    assert Forest([LEAF]).code == LEAF.code
+    assert Forest([LEAF]) != LEAF and LEAF != Forest([LEAF])
+
+
 def test_lincomb_sum_drops_cancelled_keys_and_holds_fractions():
     a, b = parse_forest("()"), parse_forest("(())")
     total = LinComb.sum([(a, 1), (b, Fraction(1, 2)), (a, -1), (b, 2), ((a, b), Fraction(1, 3))])

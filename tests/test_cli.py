@@ -92,6 +92,7 @@ def test_malformed_spec_file_exits_2(tmp_path):
         json.dumps({"order": 2, "terms": [dict(term, alpha_power=True)]}),
         json.dumps({"order": 2, "terms": [dict(term, x_power="2")]}),
         json.dumps({"order": 2.0, "terms": [term]}),
+        json.dumps({"order": 2, "terms": [dict(term, coeff="1/0", x_power=1)]}),
     ]
     for i, doc in enumerate(docs):
         bad = tmp_path / f"bad{i}.json"

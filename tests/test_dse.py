@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,14 @@ def test_series_power_by_hand_convolution():
         expected = expected + product(c[i], c[2 - i])
     assert series_power(series, 2, 2) == expected
     assert expected == parse_elem("4*(()) + 1*()*()")
+
+
+def test_huge_x_power_takes_logarithmic_work():
+    spec = DSESpec((DSETerm(1, Fraction(1), 10**9),), 3)
+    start = time.perf_counter()
+    series = solve(spec)
+    assert time.perf_counter() - start < 1.0
+    assert series.coeffs[3].text() == "1000000000000000000*((())) + 499999999500000000*(()())"
 
 
 def test_order_exceeded():

@@ -17,7 +17,7 @@ from dsetree.ptrees import (
     parse_ptree,
     stable_signature,
 )
-from dsetree.trees import EMPTY_FOREST, parse_forest
+from dsetree.trees import EMPTY_FOREST, Forest, parse_forest
 
 BIN = binary_signature()
 B = BIN.op("b")
@@ -36,6 +36,33 @@ def test_signature_validation():
         Signature((Operation("", 0), Operation("b", 2)))
     with pytest.raises(ArityMismatch):
         PTree(B, (NIL,))
+
+
+def test_operation_validates_itself():
+    for name, arity in [("a(", 1), ("", 0), ("a", -1)]:
+        with pytest.raises(ValueError):
+            Operation(name, arity)
+
+
+def _nodes(t):
+    return 0 if t.is_nil() else 1 + sum(_nodes(c) for c in t.children)
+
+
+def _leaves(t):
+    return 1 if t.is_nil() else sum(_leaves(c) for c in t.children)
+
+
+def _height(t):
+    return 0 if t.is_nil() else 1 + max((_height(c) for c in t.children), default=0)
+
+
+def test_sizes_read_off_the_code_match_structural_recursion():
+    # list:2 has nullary and unary nodes as well as bare edges.
+    for n in range(5):
+        for t in enumerate_by_nodes(list_signature(2), n):
+            assert _nodes(t) == n
+            assert (t.node_count, t.leaf_count, t.height) == (n, _leaves(t), _height(t))
+            assert Forest([t, NIL, t]).degree == 2 * n
 
 
 def test_ptree_counts_and_codec():
@@ -60,7 +87,7 @@ def test_nullary_node_has_no_leaves():
 def test_identity_signature_gives_ladders():
     sig = identity_signature()
     for k in range(11):
-        found = enumerate_by_nodes(sig, k, limit=12)
+        found = enumerate_by_nodes(sig, k)
         assert len(found) == 1
         assert found[0].node_count == k
 

@@ -55,6 +55,17 @@ def rooted_tree_counts(n_max):
     return r[1:]
 
 
+def _nodes(t):
+    return 1 + sum(_nodes(c) for c in t.children)
+
+
+def test_sizes_read_off_the_code_match_structural_recursion():
+    for n in range(1, 7):
+        assert all(t.node_count == _nodes(t) == n for t in enumerate_comb_trees(n))
+    for d in range(6):
+        assert all(f.degree == sum(map(_nodes, f.trees)) == d for f in enumerate_forests(d))
+
+
 def test_canon_code_base_cases():
     assert canon_code(LEAF) == "()"
     ladder2 = CombTree([LEAF])
