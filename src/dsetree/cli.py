@@ -94,14 +94,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     _check_enum_bounds(args)
-    sig = _signature_for_enumeration(args)
-    census = ptrees.core_census(sig, args.n, by=args.by)
-    items = sorted(census.items(), key=lambda kv: kv[0].code)
+    k = args.n if args.by == "nodes" else args.n - 1  # by leaves, alpha^k counts k + 1 leaves
+    series = dse.solve(dse.spec_from_signature(_signature_for_enumeration(args), args.by, max(k, 0)))
+    items = [(code, int(c)) for code, c in series.coeffs[k].rows()] if k >= 0 else []
     if args.format == "structured":
-        print(json.dumps({f.code: c for f, c in items}, indent=2, sort_keys=True))
+        print(json.dumps(dict(items), indent=2, sort_keys=True))
     else:
-        for forest, count in items:
-            print(f"{forest.code} {count}")
+        for code, count in items:
+            print(f"{code} {count}")
     return 0
 
 

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .errors import InvalidSpec, OrderExceeded
 from .hopf import HckElem, bplus, product
+from .ptrees import Signature, census_terms
 from .trees import EMPTY_FOREST
 
 MAX_ORDER = 10
@@ -142,6 +143,11 @@ def geometric_spec(order: int) -> DSESpec:
     """``X = 1 + sum_{n>=1} alpha^n B+(X^{n+1})`` truncated at the order."""
     terms = tuple(DSETerm(n, Fraction(1), n + 1) for n in range(1, max(order, 1) + 1))
     return DSESpec(terms, order, name="geometric")
+
+
+def spec_from_signature(sig: Signature, by: str, order: int) -> DSESpec:
+    """``X = 1 + sum_op alpha^s B+(X^arity)`` (``s`` from :func:`census_terms`): c_k is a core census."""
+    return DSESpec(tuple(DSETerm(s, Fraction(1), m) for s, m in census_terms(sig, by)), order)
 
 
 BUILTIN_SPECS = {

@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
-from dsetree import cli, dse
+import pytest
+
+from dsetree import cli, dse, ptrees
+from dsetree.errors import Nonfinite
 
 
 def run_cli(*args):
@@ -176,3 +180,66 @@ def test_large_arity_enumerates(tmp_path, capsys):
     path.write_text(json.dumps({"ops": [{"name": "w", "arity": 3000}]}))
     assert cli.main(["enumerate", "--signature", str(path), "--n", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "total: 1"
+
+
+def enumerated_census_output(sig, n, by, fmt):
+    """The census of enumerated trees, printed as the CLI prints a census."""
+    items = sorted(ptrees.core_census(sig, n, by=by).items(), key=lambda kv: kv[0].code)
+    if fmt == "structured":
+        return json.dumps({f.code: c for f, c in items}, indent=2, sort_keys=True) + "\n"
+    return "".join(f"{f.code} {c}\n" for f, c in items)
+
+
+def test_census_output_equals_enumerated_census(tmp_path, capsys):
+    twins = tmp_path / "twins.json"
+    twins.write_text(json.dumps({"ops": [{"name": "p", "arity": 2}, {"name": "q", "arity": 2}]}))
+    by_nodes = {
+        "binary": ptrees.binary_signature(),
+        "stable:3": ptrees.stable_signature(3),
+        "list:2": ptrees.list_signature(2),
+        "identity": ptrees.identity_signature(),
+        str(twins): ptrees.Signature((ptrees.Operation("p", 2), ptrees.Operation("q", 2))),
+    }
+    cases = [(name, sig, "nodes", n) for name, sig in by_nodes.items() for n in range(6)]
+    for n in range(7):
+        # By leaves, the untruncated stable signature grows with the leaf target.
+        cases.append(("stable", ptrees.stable_signature(max(2, n)), "leaves", n))
+        cases.append(("stable:4", ptrees.stable_signature(4), "leaves", n))
+        cases.append(("binary", ptrees.binary_signature(), "leaves", n))
+    for name, sig, by, n in cases:
+        for fmt in ("text", "structured"):
+            argv = ["census", "--signature", name, "--by", by, "--n", str(n), "--format", fmt]
+            assert cli.main(argv) == 0, argv
+            assert capsys.readouterr().out == enumerated_census_output(sig, n, by, fmt), argv
+
+
+def test_census_refuses_small_arities_by_leaves(capsys):
+    for name, sig, n in (
+        ("list", ptrees.list_signature(4), 3),
+        ("list", ptrees.list_signature(4), 0),
+        ("identity", ptrees.identity_signature(), 0),
+    ):
+        with pytest.raises(Nonfinite) as refused:
+            ptrees.core_census(sig, n, by="leaves")
+        assert cli.main(["census", "--signature", name, "--by", "leaves", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {refused.value}\n")
+
+
+@pytest.mark.parametrize("signature, total, lines", [
+    ("stable:4", 361_403_937, None),
+    ("list:4", 2_300_390_625, None),
+    ("list:200", 4_040_100, ["(()) 4040100"]),
+    ("wide.json", 3000, ["(()) 3000"]),
+])
+def test_census_of_huge_populations_builds_no_tree(signature, total, lines, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wide.json").write_text(json.dumps({"ops": [{"name": "w", "arity": 3000}]}))
+    n = "2" if lines else "8"
+    start = time.perf_counter()
+    assert cli.main(["census", "--signature", signature, "--n", n]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out.splitlines()
+    assert sum(int(line.rsplit(" ", 1)[1]) for line in out) == total
+    if lines:
+        assert out == lines

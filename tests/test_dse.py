@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from dsetree.dse import (
     DSESpec,
@@ -16,9 +17,11 @@ from dsetree.dse import (
     series_power,
     series_to_dict,
     solve,
+    spec_from_signature,
 )
-from dsetree.errors import InvalidSpec, OrderExceeded
+from dsetree.errors import InvalidSpec, Nonfinite, OrderExceeded
 from dsetree.hopf import HckElem, parse_elem, product
+from dsetree.ptrees import Operation, Signature, core_census, tree_count
 
 
 def catalan(n):
@@ -155,3 +158,35 @@ def test_rational_weights_flow_through():
     spec = DSESpec((DSETerm(1, Fraction(1, 2), 1),), 3)
     series = solve(spec)
     assert series.coeffs[3].text() == "1/8*((()))"
+
+
+signatures = st.builds(
+    lambda names, arities: Signature(tuple(map(Operation, names, arities))),
+    st.permutations(["a", "b", "ab"]),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3),
+)
+
+
+def equation_census(sig, by, k):
+    series = solve(spec_from_signature(sig, by, k))
+    return {f: int(c) for f, c in series.coeffs[k].terms.items()}
+
+
+@given(signatures, st.integers(0, 6))
+def test_core_census_is_the_equation_coefficient(sig, n):
+    # The theorem: planar trees over sig are the least fixpoint of X = 1 + P(X),
+    # so the census of their cores is a coefficient of the equation.
+    assume(tree_count(sig, n) <= 3000)
+    census = core_census(sig, n, by="nodes")
+    assert census == equation_census(sig, "nodes", n)
+    assert sum(census.values()) == tree_count(sig, n)
+    if sig.has_small_arities():
+        with pytest.raises(Nonfinite):
+            spec_from_signature(sig, "leaves", n)
+        with pytest.raises(Nonfinite):
+            core_census(sig, n, by="leaves")
+        return
+    assume(tree_count(sig, n, by="leaves") <= 3000)
+    census = core_census(sig, n, by="leaves")
+    assert census == (equation_census(sig, "leaves", n - 1) if n else {})
+    assert sum(census.values()) == tree_count(sig, n, by="leaves")
