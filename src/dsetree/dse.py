@@ -9,14 +9,15 @@ computed by induction on the order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .errors import InvalidSpec, OrderExceeded
+from .errors import InvalidSpec, Nonfinite, OrderExceeded
 from .hopf import HckElem, bplus, product
-from .ptrees import Signature, census_terms
+from .ptrees import SMALL_ARITIES_BY_LEAVES, Signature
 from .trees import EMPTY_FOREST
 
 MAX_ORDER = 10
@@ -146,8 +147,17 @@ def geometric_spec(order: int) -> DSESpec:
 
 
 def spec_from_signature(sig: Signature, by: str, order: int) -> DSESpec:
-    """``X = 1 + sum_op alpha^s B+(X^arity)`` (``s`` from :func:`census_terms`): c_k is a core census."""
-    return DSESpec(tuple(DSETerm(s, Fraction(1), m) for s, m in census_terms(sig, by)), order)
+    """``X = 1 + sum_op alpha^s B+(X^arity)``, whose c_k is the core census of
+    the trees of k nodes (s = 1) or of k + 1 leaves (s = arity - 1).
+
+    Operations of equal arity share one term, weighted by their number.
+    """
+    if by not in ("nodes", "leaves"):
+        raise ValueError("by must be 'nodes' or 'leaves'")
+    if by == "leaves" and sig.has_small_arities():
+        raise Nonfinite(SMALL_ARITIES_BY_LEAVES)
+    arities = sorted(Counter(op.arity for op in sig.ops).items())
+    return DSESpec(tuple(DSETerm(1 if by == "nodes" else m - 1, Fraction(w), m) for m, w in arities), order)
 
 
 BUILTIN_SPECS = {

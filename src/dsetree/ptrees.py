@@ -237,41 +237,6 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
     return list(_by_leaves(sig, n))
 
 
-def census_terms(sig: Signature, by: str) -> list[tuple[int, int]]:
-    """``(s, arity)`` per operation of ``T = 1 + sum_op z^s T^arity``, whose z^k
-    term counts trees of k nodes (s = 1) or of k + 1 leaves (s = arity - 1)."""
-    if by not in ("nodes", "leaves"):
-        raise ValueError("by must be 'nodes' or 'leaves'")
-    if by == "leaves" and sig.has_small_arities():
-        raise Nonfinite(SMALL_ARITIES_BY_LEAVES)
-    return [(1 if by == "nodes" else op.arity - 1, op.arity) for op in sig.ops]
-
-
-def tree_count(sig: Signature, n: int, by: str = "nodes") -> int:
-    """Number of trees over ``sig`` with ``n`` nodes or leaves (0 for a negative
-    ``n``), read off the series of :func:`census_terms` without building a tree."""
-    terms, k = census_terms(sig, by), n if by == "nodes" else n - 1
-    counts = [1]
-    while len(counts) <= k:
-        j = len(counts)
-        counts.append(sum(_power_count(counts, m, j - s) for s, m in terms if j >= s))
-    return counts[k] if k >= 0 else 0
-
-
-def _power_count(counts: list[int], m: int, j: int) -> int:
-    """``[z^j]`` of the ``m``-th power of ``sum_k counts[k] z^k``, by square and multiply."""
-    def times(x: list[int], y: list[int]) -> list[int]:
-        return [sum(x[a] * y[i - a] for a in range(i + 1)) for i in range(j + 1)]
-    result, base = [1] + [0] * j, counts[: j + 1]
-    while m:
-        if m & 1:
-            result = times(result, base)
-        m >>= 1
-        if m:
-            base = times(base, base)
-    return result[j]
-
-
 def kleene_layer(sig: Signature, k: int) -> set[PTree]:
     """The ``k``-th stage of the fixpoint iteration: all trees of height < k."""
     if k < 0:

@@ -226,18 +226,20 @@ def test_census_refuses_small_arities_by_leaves(capsys):
         assert (captured.out, captured.err) == ("", f"error: {refused.value}\n")
 
 
-@pytest.mark.parametrize("signature, total, lines", [
-    ("stable:4", 361_403_937, None),
-    ("list:4", 2_300_390_625, None),
-    ("list:200", 4_040_100, ["(()) 4040100"]),
-    ("wide.json", 3000, ["(()) 3000"]),
+@pytest.mark.parametrize("signature, n, total, lines", [
+    ("stable:4", 8, 361_403_937, None),
+    ("list:4", 8, 2_300_390_625, None),
+    ("list:200", 2, 4_040_100, ["(()) 4040100"]),
+    ("wide.json", 2, 3000, ["(()) 3000"]),
+    # 1000 binary operations: the binary census, each count scaled by 1000^8.
+    ("many.json", 8, 1430 * 1000**8, None),
 ])
-def test_census_of_huge_populations_builds_no_tree(signature, total, lines, tmp_path, monkeypatch, capsys):
+def test_census_of_huge_populations_builds_no_tree(signature, n, total, lines, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "wide.json").write_text(json.dumps({"ops": [{"name": "w", "arity": 3000}]}))
-    n = "2" if lines else "8"
+    (tmp_path / "many.json").write_text(json.dumps({"ops": [{"name": f"b{i}", "arity": 2} for i in range(1000)]}))
     start = time.perf_counter()
-    assert cli.main(["census", "--signature", signature, "--n", n]) == 0
+    assert cli.main(["census", "--signature", signature, "--n", str(n)]) == 0
     assert time.perf_counter() - start < 1.0
     out = capsys.readouterr().out.splitlines()
     assert sum(int(line.rsplit(" ", 1)[1]) for line in out) == total

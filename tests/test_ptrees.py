@@ -1,5 +1,3 @@
-import time
-
 import pytest
 
 from dsetree.errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
@@ -18,7 +16,6 @@ from dsetree.ptrees import (
     list_signature,
     parse_ptree,
     stable_signature,
-    tree_count,
 )
 from dsetree.trees import EMPTY_FOREST, Forest, parse_forest
 
@@ -185,39 +182,3 @@ def test_census_rejects_unknown_grading():
     with pytest.raises(ValueError):
         core_census(BIN, 2, by="height")
 
-
-def test_tree_count_matches_enumeration():
-    by_nodes = {
-        "binary": BIN,
-        "stable:3": stable_signature(3),
-        "stable:4": stable_signature(4),
-        "list:2": list_signature(2),
-        "list:3": list_signature(3),
-        "identity": identity_signature(),
-    }
-    for name, sig in by_nodes.items():
-        for n in range(6):
-            assert tree_count(sig, n) == len(enumerate_by_nodes(sig, n)), (name, n)
-    for name in ("binary", "stable:3", "stable:4"):
-        for n in range(8):
-            sig = by_nodes[name]
-            assert tree_count(sig, n, by="leaves") == len(enumerate_by_leaves(sig, n)), (name, n)
-    for name in ("list:2", "list:3", "identity"):
-        with pytest.raises(Nonfinite):
-            tree_count(by_nodes[name], 3, by="leaves")
-    with pytest.raises(ValueError):
-        tree_count(BIN, 2, by="height")
-    assert tree_count(BIN, -1) == tree_count(BIN, -1, by="leaves") == 0
-
-
-def test_tree_count_builds_no_tree():
-    start = time.perf_counter()
-    assert tree_count(stable_signature(4), 8) == 361_403_937
-    assert tree_count(list_signature(4), 8) == 2_300_390_625
-    assert tree_count(list_signature(200), 2) == 201 * 20_100
-    # One operation of arity a: T_2 = a, T_3 = a^2 + a(a - 1)/2.
-    wide = Signature((Operation("w", 10**6),))
-    assert tree_count(wide, 3) == 10**12 + 10**6 * (10**6 - 1) // 2
-    assert tree_count(wide, 12) > 0
-    assert tree_count(Signature((Operation("w", 3000),)), 9, by="leaves") == 0
-    assert time.perf_counter() - start < 1.0
