@@ -111,7 +111,7 @@ def _cmd_green(args: argparse.Namespace) -> int:
     sig = _load_signature(args.signature)
     series = opbialg.green(sig, args.bound)
     by_leaves: dict[int, list[str]] = {}
-    for t, _ in series.weights:
+    for t in series.trees:
         by_leaves.setdefault(t.leaf_count, []).append(t.code)
     payload = {f"g_{n}": sorted(by_leaves[n]) for n in sorted(by_leaves)}
     if args.format == "structured":

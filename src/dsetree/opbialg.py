@@ -1,10 +1,12 @@
 """The bialgebra of decorated operadic trees.
 
-Cut edges are split in two rather than removed: the lower part of a cut keeps
-a leaf edge per severed slot, and the crown keeps one piece per leaf edge of
-the lower part (a bare edge when the leaf edge was original).  This module
-also houses the core homomorphism to the rooted-forest Hopf algebra, Green
-functions graded by leaf count, and their coproduct identity.
+Its cuts and coproduct are those of :mod:`dsetree.hopf`, which serve both
+kinds of tree.  Cut edges are split in two rather than removed: the lower part
+of a cut keeps a leaf edge per severed slot (the bare root edge for the cut
+under the root), and the crown keeps one piece per leaf edge of the lower part
+(a bare edge when the leaf edge was original).  This module also houses the
+core homomorphism to the rooted-forest Hopf algebra, Green functions graded by
+leaf count, and their coproduct identity.
 """
 
 from __future__ import annotations
@@ -13,40 +15,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product as iproduct
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import hopf
 from .errors import SizeLimit
+from .hopf import coproduct, tree_cuts
 from .linear import LinComb
 from .ptrees import Operation, PTree, Signature, core, core_forest, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import EMPTY_FOREST, Forest
 
+
 # Multisets of decorated trees are plain forests.  The empty forest is the
 # algebra unit and differs from the forest of one bare edge: the degree-zero
 # part of this bialgebra is spanned by all nodeless forests, so it is not
 # connected.
-OpForest = Forest
-EMPTY_OPFOREST = EMPTY_FOREST
-OpElem = LinComb
-OpTensor = LinComb
-
-
-# Cuts and the coproduct are those of :mod:`dsetree.hopf`, which serve both
-# kinds of tree: here the lower factor of the cut under the root is the bare
-# root edge, and a cut splits edges rather than removing them.
-ptree_cuts = hopf.tree_cuts
-op_coproduct = hopf.coproduct
-
-
 def op_counit(f: Forest) -> Fraction:
     """1 on nodeless forests, 0 otherwise."""
     return Fraction(1) if f.degree == 0 else Fraction(0)
-
-
-def op_bplus(op: Operation, children: Iterable[PTree]) -> PTree:
-    """Build a node of the given operation over the children, in slot order."""
-    return PTree(op, tuple(children))
 
 
 @dataclass(frozen=True)
@@ -76,12 +62,12 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
         for args in iproduct(pool, repeat=op.arity):
             if sum(t.node_count for t in args) > node_bound:
                 continue
-            built = op_bplus(op, args)
-            lhs = op_coproduct(built, table)
+            built = PTree(op, args)
+            lhs = coproduct(built, table)
             # The cocycle identity puts the empty forest, not the bare root
             # edge, below the cut under the root.
             rhs = LinComb.sum(chain(
-                ((cut, 1) for cut in ptree_cuts(built, table)[1:]),
+                ((cut, 1) for cut in tree_cuts(built, table)[1:]),
                 [((Forest([built]), EMPTY_FOREST), 1)],
             ))
             if lhs != rhs:
@@ -95,7 +81,7 @@ def check_op_coassociativity(sig: Signature, node_bound: int) -> CheckReport:
     # of the same code met inside the check.
     forests = [Forest([t]) for t in up_to(partial(enumerate_by_nodes, sig), node_bound)]
     table: dict = {}
-    return check_coassociative("operadic coassociativity", forests, partial(op_coproduct, table=table))
+    return check_coassociative("operadic coassociativity", forests, partial(coproduct, table=table))
 
 
 def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
@@ -111,7 +97,7 @@ def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
 
     def law(t: PTree):
         lhs = LinComb.sum(
-            ((core_of(crown), core_of(lower)), c) for (crown, lower), c in op_coproduct(t, table).terms.items()
+            ((core_of(crown), core_of(lower)), c) for (crown, lower), c in coproduct(t, table).terms.items()
         )
         rhs = hopf.coproduct(core(t), table)
         return None if lhs == rhs else (rhs.text(), lhs.text())
@@ -122,20 +108,18 @@ def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
 
 @dataclass(frozen=True)
 class GreenSeries:
-    """All trees up to a node bound, weight 1 each, graded by leaf count."""
+    """All trees up to a node bound, each with coefficient 1, graded by leaf count."""
 
-    sig: Signature
-    node_bound: int
-    weights: tuple[tuple[PTree, Fraction], ...]
+    trees: tuple[PTree, ...]
 
     def leaf_component(self, n: int) -> LinComb:
-        return LinComb({Forest([t]): w for t, w in self.weights if t.leaf_count == n})
+        return LinComb({Forest([t]): 1 for t in self.trees if t.leaf_count == n})
 
     def total(self) -> LinComb:
-        return LinComb({Forest([t]): w for t, w in self.weights})
+        return LinComb({Forest([t]): 1 for t in self.trees})
 
     def max_leaves(self) -> int:
-        return max((t.leaf_count for t, _ in self.weights), default=0)
+        return max((t.leaf_count for t in self.trees), default=0)
 
 
 def green(sig: Signature, node_bound: int) -> GreenSeries:
@@ -143,9 +127,7 @@ def green(sig: Signature, node_bound: int) -> GreenSeries:
     every automorphism weight is 1."""
     if node_bound < 0:
         raise SizeLimit("node bound must be nonnegative")
-    trees = up_to(partial(enumerate_by_nodes, sig), node_bound)
-    weights = tuple((t, Fraction(1)) for t in trees)
-    return GreenSeries(sig, node_bound, weights)
+    return GreenSeries(tuple(up_to(partial(enumerate_by_nodes, sig), node_bound)))
 
 
 def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
@@ -154,9 +136,7 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
     the bound."""
     series = green(sig, node_bound)
     table: dict = {}
-    lhs = LinComb.sum(
-        (key, c * w) for t, w in series.weights for key, c in op_coproduct(t, table).terms.items()
-    )
+    lhs = LinComb.sum(pair for t in series.trees for pair in coproduct(t, table).terms.items())
 
     def bounded(x: LinComb, y: LinComb) -> list:
         """Term pairs ``(f, c, g, d)`` of ``x`` and ``y`` with degrees summing to at most
@@ -179,6 +159,6 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
     rhs = LinComb.sum(pairs)
 
     if lhs == rhs:
-        return CheckReport("Faa di Bruno", True, len(series.weights))
+        return CheckReport("Faa di Bruno", True, len(series.trees))
     bad = tuple((code, "0", str(c)) for code, c in (lhs - rhs).rows()[:5])
-    return CheckReport("Faa di Bruno", False, len(series.weights), bad)
+    return CheckReport("Faa di Bruno", False, len(series.trees), bad)

@@ -15,7 +15,7 @@ from itertools import combinations, product as iproduct
 from typing import Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
-from .trees import Canonical, CombTree, EMPTY_FOREST, Forest
+from .trees import MAX_DEPTH, Canonical, CombTree, EMPTY_FOREST, Forest
 
 MAX_NODES = 12
 MAX_LEAVES = 10
@@ -107,15 +107,18 @@ PTree.stump = Forest([NIL])
 
 
 def parse_ptree(s: str, sig: Signature) -> PTree:
-    pos, tree = _parse_ptree(s, 0, sig)
+    """Parse a code over the signature; nodes nested past ``MAX_DEPTH`` are malformed."""
+    pos, tree = _parse_ptree(s, 0, sig, 0)
     if pos != len(s):
         raise MalformedCode(f"trailing input at position {pos}: {s!r}")
     return tree
 
 
-def _parse_ptree(s: str, pos: int, sig: Signature) -> tuple[int, PTree]:
+def _parse_ptree(s: str, pos: int, sig: Signature, depth: int) -> tuple[int, PTree]:
     if pos < len(s) and s[pos] == "|":
         return pos + 1, NIL
+    if depth == MAX_DEPTH:
+        raise MalformedCode(f"nesting depth exceeds {MAX_DEPTH} at position {pos}")
     open_paren = s.find("(", pos)
     if open_paren < 0:
         raise MalformedCode(f"expected a node at position {pos}: {s!r}")
@@ -128,7 +131,7 @@ def _parse_ptree(s: str, pos: int, sig: Signature) -> tuple[int, PTree]:
     children: list[PTree] = []
     if pos < len(s) and s[pos] != ")":
         while True:
-            pos, child = _parse_ptree(s, pos, sig)
+            pos, child = _parse_ptree(s, pos, sig, depth + 1)
             children.append(child)
             if pos < len(s) and s[pos] == ",":
                 pos += 1

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 from .errors import MalformedCode, SizeLimit
 
 MAX_ENUM_NODES = 12
+MAX_DEPTH = 200  # deepest nesting parsed; core and cuts recurse up to four frames a level
 
 
 class Canonical:
@@ -101,21 +102,24 @@ def parse_code(s: str) -> CombTree:
     """Parse a parenthesis code into a canonical tree.
 
     Codes with children out of canonical order are normalized rather than
-    rejected.  Raises :class:`MalformedCode` on any other deviation.
+    rejected.  Raises :class:`MalformedCode` on any other deviation and on
+    nesting deeper than ``MAX_DEPTH``.
     """
-    pos, tree = _parse_tree(s, 0)
+    pos, tree = _parse_tree(s, 0, 0)
     if pos != len(s):
         raise MalformedCode(f"trailing input at position {pos}: {s!r}")
     return tree
 
 
-def _parse_tree(s: str, pos: int) -> tuple[int, CombTree]:
+def _parse_tree(s: str, pos: int, depth: int) -> tuple[int, CombTree]:
     if pos >= len(s) or s[pos] != "(":
         raise MalformedCode(f"expected '(' at position {pos}: {s!r}")
+    if depth == MAX_DEPTH:
+        raise MalformedCode(f"nesting depth exceeds {MAX_DEPTH} at position {pos}")
     pos += 1
     children = []
     while pos < len(s) and s[pos] == "(":
-        pos, child = _parse_tree(s, pos)
+        pos, child = _parse_tree(s, pos, depth + 1)
         children.append(child)
     if pos >= len(s) or s[pos] != ")":
         raise MalformedCode(f"expected ')' at position {pos}: {s!r}")

@@ -3,7 +3,6 @@ from fractions import Fraction
 import dsetree
 from dsetree.hopf import HckElem, HckTensor
 from dsetree.linear import LinComb
-from dsetree.opbialg import EMPTY_OPFOREST, OpForest
 from dsetree.ptrees import NIL
 from dsetree.trees import EMPTY_FOREST, LEAF, Forest, parse_forest
 
@@ -50,9 +49,9 @@ def test_linear_combination_constructors():
 
 
 def test_operadic_forest_of_bare_edge_is_not_the_unit():
-    assert OpForest([NIL]) != EMPTY_OPFOREST
-    assert OpForest([NIL]).degree == EMPTY_OPFOREST.degree == 0
-    assert OpForest([NIL]).code == "|" and EMPTY_OPFOREST.code == "1"
+    assert Forest([NIL]) != EMPTY_FOREST
+    assert Forest([NIL]).degree == EMPTY_FOREST.degree == 0
+    assert Forest([NIL]).code == "|" and EMPTY_FOREST.code == "1"
 
 
 def test_reprs_and_class_sensitive_equality():

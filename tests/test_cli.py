@@ -102,6 +102,14 @@ def test_malformed_spec_file_exits_2(tmp_path):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(doc)
         assert run_cli("solve", "--spec", str(bad), "--order", "2").returncode == 2, doc
+    # Refused before Fraction builds the power of ten; 1e3 is still read.
+    path = tmp_path / "coeff.json"
+    path.write_text(json.dumps({"order": 2, "terms": [dict(term, coeff="1e1000000000")]}))
+    start = time.perf_counter()
+    assert cli.main(["solve", "--spec", str(path), "--order", "2"]) == 2
+    assert time.perf_counter() - start < 1.0
+    path.write_text(json.dumps({"order": 2, "terms": [dict(term, coeff="1e3")]}))
+    assert cli.main(["solve", "--spec", str(path), "--order", "2"]) == 0
 
 
 def test_spec_file_accepted(tmp_path):

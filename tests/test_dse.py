@@ -154,7 +154,7 @@ def test_structured_dump_matches_text():
     ]
 
 
-def test_rational_weights_flow_through():
+def test_rational_coefficients_flow_through():
     spec = DSESpec((DSETerm(1, Fraction(1, 2), 1),), 3)
     series = solve(spec)
     assert series.coeffs[3].text() == "1/8*((()))"

@@ -5,19 +5,15 @@ from itertools import chain, combinations
 import pytest
 
 from dsetree.errors import ArityMismatch
+from dsetree.hopf import coproduct, tree_cuts
+from dsetree.linear import LinComb
 from dsetree.opbialg import (
-    EMPTY_OPFOREST,
-    OpForest,
-    OpTensor,
     check_core_homomorphism,
     check_faa_di_bruno,
     check_op_coassociativity,
     cocycle_counterexample,
     green,
-    op_bplus,
-    op_coproduct,
     op_counit,
-    ptree_cuts,
 )
 from dsetree.ptrees import (
     NIL,
@@ -26,10 +22,11 @@ from dsetree.ptrees import (
     core,
     enumerate_by_nodes,
     identity_signature,
+    parse_ptree,
     stable_signature,
 )
 from dsetree.report import up_to
-from dsetree.trees import enumerate_forests
+from dsetree.trees import EMPTY_FOREST, Forest, enumerate_forests
 
 BIN = binary_signature()
 B = BIN.op("b")
@@ -42,18 +39,18 @@ def node(*children):
 
 
 def tens(pairs):
-    return OpTensor({(OpForest(l), OpForest(r)): c for l, r, c in pairs})
+    return LinComb({(Forest(l), Forest(r)): c for l, r, c in pairs})
 
 
 def test_nil_is_grouplike_but_not_the_unit():
-    assert op_coproduct(NIL) == tens([(([NIL]), ([NIL]), 1)])
-    assert OpForest([NIL]) != EMPTY_OPFOREST
-    assert op_counit(OpForest([NIL])) == 1
-    assert op_counit(OpForest([S1])) == 0
+    assert coproduct(NIL) == tens([(([NIL]), ([NIL]), 1)])
+    assert Forest([NIL]) != EMPTY_FOREST
+    assert op_counit(Forest([NIL])) == 1
+    assert op_counit(Forest([S1])) == 0
 
 
 def test_displayed_two_node_coproduct():
-    assert op_coproduct(T2) == tens(
+    assert coproduct(T2) == tens(
         [
             ([NIL, NIL, NIL], [T2], 1),
             ([S1, NIL], [S1], 1),
@@ -63,27 +60,27 @@ def test_displayed_two_node_coproduct():
 
 
 def test_single_node_coproduct():
-    assert op_coproduct(S1) == tens(
+    assert coproduct(S1) == tens(
         [([NIL, NIL], [S1], 1), ([S1], [NIL], 1)]
     )
 
 
 def test_coproduct_multiplicative_on_forests():
-    f = OpForest([NIL, S1])
-    lhs = op_coproduct(f)
+    f = Forest([NIL, S1])
+    lhs = coproduct(f)
     acc = {}
-    for (a1, b1), c1 in op_coproduct(NIL).terms.items():
-        for (a2, b2), c2 in op_coproduct(S1).terms.items():
+    for (a1, b1), c1 in coproduct(NIL).terms.items():
+        for (a2, b2), c2 in coproduct(S1).terms.items():
             key = (a1.union(a2), b1.union(b2))
             acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-    assert lhs == OpTensor(acc)
+    assert lhs == LinComb(acc)
 
 
-def test_op_bplus():
-    assert op_bplus(B, [NIL, NIL]) == S1
-    assert op_bplus(B, [S1, NIL]) == T2
+def test_node_builder_matches_codec():
+    assert PTree(B, (NIL, NIL)) == parse_ptree("b(|,|)", BIN)
+    assert PTree(B, (S1, NIL)) == parse_ptree("b(b(|,|),|)", BIN)
     with pytest.raises(ArityMismatch):
-        op_bplus(B, [NIL])
+        PTree(B, (NIL,))
 
 
 def test_cocycle_fails_with_small_witness():
@@ -99,7 +96,7 @@ def test_cocycle_fails_with_small_witness():
 def test_bigrading_preserved():
     for n in range(5):
         for t in enumerate_by_nodes(BIN, n):
-            for (crown, lower), c in op_coproduct(t).terms.items():
+            for (crown, lower), c in coproduct(t).terms.items():
                 assert crown.degree + lower.degree == n
                 assert c > 0
 
@@ -132,7 +129,7 @@ def _down_closed_subset_count(t):
 def test_cut_count_matches_down_closed_subsets():
     for n in range(5):
         for t in enumerate_by_nodes(BIN, n):
-            assert len(ptree_cuts(t)) == _down_closed_subset_count(t)
+            assert len(tree_cuts(t)) == _down_closed_subset_count(t)
 
 
 def test_coassociativity_small_bounds():
@@ -157,7 +154,6 @@ def test_green_identity_signature():
     assert series.max_leaves() == 1
     component = series.leaf_component(1)
     assert len(component.terms) == 4  # ladders with 0..3 nodes
-    assert all(w == 1 for _, w in series.weights)
 
 
 def test_green_binary_bound_2():
@@ -181,7 +177,7 @@ def test_faa_di_bruno_small_bounds():
 def test_shared_table_changes_no_result_and_shares_each_code():
     trees = up_to(partial(enumerate_by_nodes, stable_signature(3)), 4)
     forests = [
-        OpForest([a, b])
+        Forest([a, b])
         for i, a in enumerate(trees)
         for b in trees[i:]
         if a.node_count + b.node_count <= 4
@@ -195,13 +191,13 @@ def test_shared_table_changes_no_result_and_shares_each_code():
         return shared.setdefault((type(x), x.code), x) is x
 
     for t in trees + comb_trees:
-        cuts = ptree_cuts(t, table)
-        assert cuts == ptree_cuts(t)
+        cuts = tree_cuts(t, table)
+        assert cuts == tree_cuts(t)
         assert all(is_shared(crown) and is_shared(lower) for crown, lower in cuts)
     # A decorated tree and its core share the table, as in the
     # core-homomorphism check.
     with_cores = [y for t in trees for y in (t, core(t))]
     for x in with_cores + forests + comb_trees + comb_forests:
-        delta = op_coproduct(x, table)
-        assert delta == op_coproduct(x)
+        delta = coproduct(x, table)
+        assert delta == coproduct(x)
         assert all(is_shared(crown) and is_shared(lower) for crown, lower in delta.terms)

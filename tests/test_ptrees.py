@@ -1,6 +1,7 @@
 import pytest
 
 from dsetree.errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
+from dsetree.hopf import coproduct
 from dsetree.ptrees import (
     NIL,
     Operation,
@@ -17,7 +18,7 @@ from dsetree.ptrees import (
     parse_ptree,
     stable_signature,
 )
-from dsetree.trees import EMPTY_FOREST, Forest, parse_forest
+from dsetree.trees import EMPTY_FOREST, MAX_DEPTH, Forest, parse_forest
 
 BIN = binary_signature()
 B = BIN.op("b")
@@ -75,6 +76,12 @@ def test_ptree_counts_and_codec():
         parse_ptree("c(|,|)", BIN)
     with pytest.raises(MalformedCode):
         parse_ptree("b(|)", BIN)
+    # The deepest tree parsed still goes through the recursive functions.
+    ladder = parse_ptree("s(" * MAX_DEPTH + "|" + ")" * MAX_DEPTH, identity_signature())
+    assert ladder.height == core(ladder).node_count == MAX_DEPTH
+    assert len(coproduct(ladder).terms) == MAX_DEPTH + 1
+    with pytest.raises(MalformedCode, match="nesting depth"):
+        parse_ptree("s(" * 3000 + "|" + ")" * 3000, identity_signature())
 
 
 def test_nullary_node_has_no_leaves():

@@ -5,7 +5,7 @@ from functools import partial
 from dsetree import hopf
 from dsetree.hopf import check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
-from dsetree.opbialg import check_core_homomorphism, op_coproduct
+from dsetree.opbialg import check_core_homomorphism
 from dsetree.ptrees import binary_signature, enumerate_by_nodes, stable_signature
 from dsetree.report import check_coassociative, up_to
 from dsetree.trees import enumerate_forests
@@ -68,25 +68,25 @@ def test_up_to_lists_each_size_in_code_order():
 
 def test_coassociativity_driver_passes_true_coproducts():
     assert check_coassociative("forests", FORESTS, coproduct).passed
-    assert check_coassociative("binary", BINARY_TREES, op_coproduct).passed
+    assert check_coassociative("binary", BINARY_TREES, coproduct).passed
 
 
 def test_coassociativity_mutation_detected_at_small_size():
     forests = check_coassociative("forests", FORESTS, drop_one_cut(coproduct))
     assert not forests.passed
     assert forests.checked == len(FORESTS)
-    binary = check_coassociative("binary", BINARY_TREES, drop_one_cut(op_coproduct))
+    binary = check_coassociative("binary", BINARY_TREES, drop_one_cut(coproduct))
     assert not binary.passed
     assert binary.checked == len(BINARY_TREES)
 
 
 def test_coassociativity_driver_computes_each_coproduct_once():
-    for inputs, delta in ((FORESTS, coproduct), (STABLE3_TREES, op_coproduct)):
+    for inputs in (FORESTS, STABLE3_TREES):
         calls = Counter()
 
         def counted(x):
             calls[x] += 1  # a tree and the forest of that tree are distinct keys
-            return delta(x)
+            return coproduct(x)
 
         assert check_coassociative("counted", inputs, counted).passed
         assert set(calls.values()) == {1}
@@ -94,9 +94,9 @@ def test_coassociativity_driver_computes_each_coproduct_once():
 
 
 def test_coassociativity_driver_coefficients():
-    for inputs, delta in ((FORESTS, coproduct), (STABLE3_TREES, op_coproduct)):
-        assert not check_coassociative("off by one", inputs, off_by_one(delta)).passed
-        third = check_coassociative("scaled", inputs, lambda x: delta(x).scale(Fraction(1, 3)))
+    for inputs in (FORESTS, STABLE3_TREES):
+        assert not check_coassociative("off by one", inputs, off_by_one(coproduct)).passed
+        third = check_coassociative("scaled", inputs, lambda x: coproduct(x).scale(Fraction(1, 3)))
         assert third.passed
 
 

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dsetree.errors import MalformedCode, SizeLimit
+from dsetree.hopf import parse_elem
 from dsetree.trees import (
     EMPTY_FOREST,
     LEAF,
+    MAX_DEPTH,
     CombTree,
     Forest,
     aut_order,
@@ -90,6 +92,11 @@ def test_parse_code_examples():
         parse_code("(()")
     with pytest.raises(MalformedCode):
         parse_code("()()")  # two roots
+    assert parse_code("(" * MAX_DEPTH + ")" * MAX_DEPTH).node_count == MAX_DEPTH
+    deep = "(" * 3000 + ")" * 3000
+    for parse, text in ((parse_code, deep), (parse_forest, deep), (parse_elem, "1*" + deep)):
+        with pytest.raises(MalformedCode, match="nesting depth"):
+            parse(text)
 
 
 def test_forest_codec():
