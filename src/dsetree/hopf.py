@@ -3,15 +3,17 @@
 Elements are finite rational-linear combinations of forests; the product is
 multiset union of forests, the coproduct sums over admissible cuts (the
 root-containing subtree below, the forest of upper pieces above), and the
-antipode is the usual connected-graded recursion.  All coefficients are exact
+antipode is the cancellation-free forest formula: a sum over every set of
+edges, signed by the number of pieces left.  All coefficients are exact
 :class:`fractions.Fraction` values.  The cut enumeration and the coproduct
-also serve the decorated trees of :mod:`dsetree.opbialg`.
+also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
+a call: callers that repeat work pass a table or keep their own dict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import partial
 from itertools import chain, product as iproduct
 from typing import Optional
 
@@ -92,27 +94,33 @@ def counit(x: HckElem) -> Fraction:
     return x.terms.get(EMPTY_FOREST, Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _antipode_tree(t: CombTree) -> HckElem:
-    # S(t) = -t - sum over proper cuts (lower part neither empty nor all of t)
-    # of S(upper) * lower.
-    return HckElem.sum(chain(
-        [(Forest([t]), -1)],
-        (
-            (key, -c)
-            for upper, lower in tree_cuts(t)
-            if 0 < lower.degree < t.node_count
-            for key, c in product(antipode(HckElem.from_forest(upper)), HckElem.from_forest(lower)).terms.items()
-        ),
-    ))
+def _edge_cuts(t: CombTree, table: dict) -> list[tuple[CombTree, ...]]:
+    """For each set of edges of ``t``, the piece holding the root followed by
+    the pieces cut off.  Each child edge is kept or cut, whatever is cut inside
+    the child.  ``table`` maps every tree met to its result."""
+    found = table.get(t)
+    if found is None:
+        # Per child edge: (child roots kept under the root, pieces cut off).
+        choices = [
+            [choice for cut in _edge_cuts(c, table) for choice in (((cut[0],), cut[1:]), ((), cut))]
+            for c in t.children
+        ]
+        found = table[t] = [
+            (CombTree(r for kept, _ in combo for r in kept), *(piece for _, off in combo for piece in off))
+            for combo in iproduct(*choices)
+        ]
+    return found
 
 
 def antipode(x: HckElem) -> HckElem:
-    """Convolution inverse of the identity, extended multiplicatively."""
+    """Convolution inverse of the identity: over every set of edges of each
+    forest, the product of the pieces left, signed (-1) to their number."""
+    table: dict = {}
     return HckElem.sum(
-        (key, coeff * c)
+        (pieces, coeff * (-1) ** len(pieces.trees))
         for forest, coeff in x.terms.items()
-        for key, c in reduce(product, map(_antipode_tree, forest.trees), HckElem.one()).terms.items()
+        for combo in iproduct(*(_edge_cuts(t, table) for t in forest.trees))
+        for pieces in [Forest([piece for cut in combo for piece in cut])]
     )
 
 
@@ -175,12 +183,19 @@ def check_counit(degree_bound: int) -> CheckReport:
 def check_antipode(degree_bound: int) -> CheckReport:
     """Verify m(S x Id)coproduct = unit*counit on all small forests."""
     table: dict = {}
+    antipodes: dict[Forest, HckElem] = {}
+
+    def antipode_of(f: Forest) -> HckElem:
+        found = antipodes.get(f)
+        if found is None:
+            found = antipodes[f] = antipode(HckElem.from_forest(f))
+        return found
 
     def law(f: Forest):
         acc = HckElem.sum(
             (key, c * d)
             for (a, b), c in coproduct(f, table).terms.items()
-            for key, d in product(antipode(HckElem.from_forest(a)), HckElem.from_forest(b)).terms.items()
+            for key, d in product(antipode_of(a), HckElem.from_forest(b)).terms.items()
         )
         expected = HckElem.one() if f == EMPTY_FOREST else HckElem.zero()
         return None if acc == expected else (expected.text(), acc.text())

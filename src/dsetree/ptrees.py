@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import accumulate, combinations, product as iproduct
 from typing import Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
@@ -88,8 +88,8 @@ class PTree(Canonical):
 
     @property
     def height(self) -> int:
-        """Nodes on the longest path from the root; 0 for the bare edge."""
-        return 0 if self.op is None else 1 + max((c.height for c in self.children), default=0)
+        """Nodes on the longest path from the root, the deepest nesting of ``"("``."""
+        return max(accumulate(1 if ch == "(" else -1 for ch in self.code if ch in "()"), default=0)
 
     def is_nil(self) -> bool:
         return self.op is None

@@ -22,6 +22,7 @@ from dsetree.trees import (
     LEAF,
     CombTree,
     Forest,
+    enumerate_comb_trees,
     enumerate_forests,
     parse_code,
     parse_forest,
@@ -77,6 +78,16 @@ def test_antipode_squared_is_identity_up_to_degree_5():
         for f in enumerate_forests(d):
             x = HckElem.from_forest(f)
             assert antipode(antipode(x)) == x
+
+
+def test_antipode_of_a_tree_cancels_nothing():
+    # One term per set of the n - 1 edges, signed by its number of pieces,
+    # and no two terms cancel.
+    for n in range(1, 9):
+        for t in enumerate_comb_trees(n):
+            terms = antipode(HckElem.from_tree(t)).terms
+            assert all(c == (-1) ** len(f.trees) * abs(c) for f, c in terms.items()), t
+            assert sum(abs(c) for c in terms.values()) == 2 ** (n - 1), t
 
 
 def test_bplus_examples():

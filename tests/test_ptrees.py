@@ -82,6 +82,11 @@ def test_ptree_counts_and_codec():
     assert len(coproduct(ladder).terms) == MAX_DEPTH + 1
     with pytest.raises(MalformedCode, match="nesting depth"):
         parse_ptree("s(" * 3000 + "|" + ")" * 3000, identity_signature())
+    # Built by the constructor, a ladder may be deeper; its height is read off the code.
+    s, tall = identity_signature().op("s"), NIL
+    for _ in range(5000):
+        tall = PTree(s, (tall,))
+    assert tall.height == 5000
 
 
 def test_nullary_node_has_no_leaves():

@@ -109,3 +109,23 @@ def test_law_checks_report_coproduct_mutants(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(hopf, "coproduct", mutant(hopf.coproduct))
                 assert not check().passed, (check.func.__name__, mutant.__name__)
+
+
+def omit_the_sign(antipode):
+    """The antipode with every coefficient replaced by its absolute value."""
+
+    def mutant(x):
+        return LinComb({f: abs(c) for f, c in antipode(x).terms.items()})
+
+    return mutant
+
+
+def test_antipode_check_reports_the_unsigned_antipode(monkeypatch):
+    # The mutant runs first: an antipode it computed that outlived the patch
+    # would fail the unmutated check.  At degree 0 the only input is the empty
+    # forest, whose antipode is 1 anyway.
+    with monkeypatch.context() as patch:
+        patch.setattr(hopf, "antipode", omit_the_sign(hopf.antipode))
+        for degree in range(1, 5):
+            assert not check_antipode(degree).passed, degree
+    assert check_antipode(4).passed
