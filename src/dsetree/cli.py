@@ -130,6 +130,15 @@ _HOPF_LAWS = {
 }
 
 
+_TREE_LAWS = {
+    "op-coassoc": opbialg.check_op_coassociativity,
+    "core-hom": opbialg.check_core_homomorphism,
+    "faa-di-bruno": opbialg.check_faa_di_bruno,
+    "lambek": wtypes.lambek_check,
+    "computation": lambda sig, bound: wtypes.check_computation_rules(sig, _node_count_algebra(sig), bound),
+}
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     law = args.law
     if law in _HOPF_LAWS:
@@ -141,26 +150,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not 0 <= args.bound <= MAX_NODE_BOUND:
         raise SystemExit(_usage_error(f"--bound must lie in 0..{MAX_NODE_BOUND}"))
     sig = _load_signature(args.signature)
-    if law == "op-coassoc":
-        report = opbialg.check_op_coassociativity(sig, args.bound)
-    elif law == "core-hom":
-        report = opbialg.check_core_homomorphism(sig, args.bound)
-    elif law == "faa-di-bruno":
-        report = opbialg.check_faa_di_bruno(sig, args.bound)
-    elif law == "lambek":
-        report = wtypes.lambek_check(sig, args.bound)
-    elif law == "computation":
-        alg = _node_count_algebra(sig)
-        report = wtypes.check_computation_rules(sig, alg, args.bound)
-    elif law == "op-cocycle":
+    if law == "op-cocycle":
         witness = opbialg.cocycle_counterexample(sig, node_bound=args.bound)
         if witness is None:
             print(f"PASS (node-builder cocycle, bound {args.bound}): no counterexample found")
             return 0
         print(f"FAIL (node-builder cocycle): {witness.describe()}")
         return 1
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(_usage_error(f"unknown law {law!r}"))
+    report = _TREE_LAWS[law](sig, args.bound)
     print(report.summary() + f" [bound <= {args.bound}]")
     return 0 if report.passed else 1
 

@@ -7,13 +7,13 @@ antipode is the cancellation-free forest formula: a sum over every set of
 edges, signed by the number of pieces left.  All coefficients are exact
 :class:`fractions.Fraction` values.  The cut enumeration and the coproduct
 also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
-a call: callers that repeat work pass a table or keep their own dict.
+a call: callers that repeat work pass a table or a local ``functools.cache``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, product as iproduct
 from typing import Optional
 
@@ -183,13 +183,7 @@ def check_counit(degree_bound: int) -> CheckReport:
 def check_antipode(degree_bound: int) -> CheckReport:
     """Verify m(S x Id)coproduct = unit*counit on all small forests."""
     table: dict = {}
-    antipodes: dict[Forest, HckElem] = {}
-
-    def antipode_of(f: Forest) -> HckElem:
-        found = antipodes.get(f)
-        if found is None:
-            found = antipodes[f] = antipode(HckElem.from_forest(f))
-        return found
+    antipode_of = cache(lambda f: antipode(HckElem.from_forest(f)))
 
     def law(f: Forest):
         acc = HckElem.sum(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, product as iproduct
 from typing import Optional
 
@@ -87,13 +87,7 @@ def check_op_coassociativity(sig: Signature, node_bound: int) -> CheckReport:
 def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
     """Verify that taking cores intertwines the two coproducts."""
     table: dict = {}
-    cores: dict[Forest, Forest] = {}
-
-    def core_of(f: Forest) -> Forest:
-        found = cores.get(f)
-        if found is None:
-            found = cores[f] = core_forest(f.trees)
-        return found
+    core_of = cache(lambda f: core_forest(f.trees))
 
     def law(t: PTree):
         lhs = LinComb.sum(

@@ -179,13 +179,13 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _by_nodes(sig: Signature, n: int) -> tuple[PTree, ...]:
-    if n == 0:
-        return (NIL,)
-    out: list[PTree] = []
+def _graded(sig: Signature, by: str, k: int) -> tuple[PTree, ...]:
+    """Trees of size ``k`` in code order.  A node of arity m weighs 1 by nodes and
+    m - 1 by leaves, so size k by leaves is k + 1 leaves; that needs every arity >= 2."""
+    out = [NIL] if k == 0 else []
     for op in sig.ops:
-        for sizes in _compositions(n - 1, op.arity):
-            for kids in iproduct(*(_by_nodes(sig, size) for size in sizes)):
+        for sizes in _compositions(k - (1 if by == "nodes" else op.arity - 1), op.arity):
+            for kids in iproduct(*(_graded(sig, by, size) for size in sizes)):
                 out.append(PTree(op, kids))
     return tuple(sorted(out))
 
@@ -196,22 +196,7 @@ def enumerate_by_nodes(sig: Signature, n: int) -> list[PTree]:
         raise ValueError("node count must be nonnegative")
     if n > MAX_NODES:
         raise SizeLimit(f"node enumeration capped at {MAX_NODES}, got {n}")
-    return list(_by_nodes(sig, n))
-
-
-@lru_cache(maxsize=None)
-def _by_leaves(sig: Signature, n: int) -> tuple[PTree, ...]:
-    # Only sound when all arities are >= 2: children then have strictly
-    # fewer leaves than their parent.
-    out: list[PTree] = []
-    if n == 1:
-        out.append(NIL)
-    for op in sig.ops:
-        for split in _compositions(n - op.arity, op.arity):
-            sizes = tuple(s + 1 for s in split)
-            for kids in iproduct(*(_by_leaves(sig, size) for size in sizes)):
-                out.append(PTree(op, kids))
-    return tuple(sorted(out))
+    return list(_graded(sig, "nodes", n))
 
 
 def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None) -> list[PTree]:
@@ -233,11 +218,9 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
     if sig.has_small_arities():
         if node_bound is None:
             raise Nonfinite(SMALL_ARITIES_BY_LEAVES)
-        out = []
-        for k in range(node_bound + 1):
-            out.extend(t for t in _by_nodes(sig, k) if t.leaf_count == n)
-        return sorted(out)
-    return list(_by_leaves(sig, n))
+        trees = (t for k in range(node_bound + 1) for t in _graded(sig, "nodes", k))
+        return sorted(t for t in trees if t.leaf_count == n)
+    return list(_graded(sig, "leaves", n - 1))
 
 
 def kleene_layer(sig: Signature, k: int) -> set[PTree]:
@@ -259,7 +242,15 @@ def kleene_layer(sig: Signature, k: int) -> set[PTree]:
 
 
 def _core_tree(t: PTree) -> CombTree:
-    return CombTree(_core_tree(c) for c in t.children if not c.is_nil())
+    # Read off the code: a node prints one "(" and its ")", a bare edge neither.
+    stack: list[list[CombTree]] = [[]]
+    for ch in t.code:
+        if ch == "(":
+            stack.append([])
+        elif ch == ")":
+            children = stack.pop()
+            stack[-1].append(CombTree(children))
+    return stack[0][0]
 
 
 def core(t: PTree) -> Forest:

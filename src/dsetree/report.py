@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 
@@ -68,17 +69,12 @@ def check_coassociative(
     linear combination of forest pairs.  It is called once per distinct
     forest over the whole check.
     """
-    memo: dict[Any, list[tuple[Any, Any, Any]]] = {}
 
+    @cache
     def delta(x: Any) -> list[tuple[Any, Any, Any]]:
-        terms = memo.get(x)
-        if terms is None:
-            # Integral coefficients become ints: exact, and cheaper to multiply.
-            terms = memo[x] = [
-                (a, b, c.numerator if c.denominator == 1 else c)
-                for (a, b), c in coproduct(x).terms.items()
-            ]
-        return terms
+        # Integral coefficients become ints: exact, and cheaper to multiply.
+        terms = coproduct(x).terms.items()
+        return [(a, b, c.numerator if c.denominator == 1 else c) for (a, b), c in terms]
 
     def law(x: Any) -> Optional[tuple[str, str]]:
         left: dict[tuple, Any] = {}

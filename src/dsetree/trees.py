@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 from .errors import MalformedCode, SizeLimit
 
 MAX_ENUM_NODES = 12
-MAX_DEPTH = 200  # deepest nesting parsed; core, at four frames a level, is what limits it
+MAX_DEPTH = 200  # deepest nesting parsed; tree_cuts and coproduct, which recurse, fail from about 500
 
 
 class Canonical:

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from dsetree.dse import solve, spec_from_signature
 from dsetree.errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
 from dsetree.hopf import coproduct
 from dsetree.ptrees import (
+    MAX_LEAVES,
     NIL,
     Operation,
     PTree,
@@ -86,7 +89,7 @@ def test_ptree_counts_and_codec():
     s, tall = identity_signature().op("s"), NIL
     for _ in range(5000):
         tall = PTree(s, (tall,))
-    assert tall.height == 5000
+    assert tall.height == core(tall).node_count == 5000
 
 
 def test_nullary_node_has_no_leaves():
@@ -117,6 +120,20 @@ def test_stable_counts_are_schroder():
     for n, expected in zip(range(1, 8), [1, 1, 3, 11, 45, 197, 903]):
         sig = stable_signature(max(2, n))
         assert len(enumerate_by_leaves(sig, n)) == expected
+
+
+@given(
+    st.permutations(["a", "b", "ab"]),
+    st.lists(st.integers(2, 4), min_size=1, max_size=3),
+    st.integers(0, MAX_LEAVES),
+)
+def test_leaf_grading_agrees_with_node_grading(names, arities, n):
+    sig = Signature(tuple(map(Operation, names, arities)))
+    # With every arity at least 2, a tree of n leaves has at most n - 1 nodes.
+    counts = solve(spec_from_signature(sig, "nodes", max(n - 1, 0))).coeffs[:n]
+    assume(sum(c for coeff in counts for c in coeff.terms.values()) <= 3000)
+    expected = [t for k in range(n) for t in enumerate_by_nodes(sig, k) if t.leaf_count == n]
+    assert enumerate_by_leaves(sig, n) == sorted(expected)
 
 
 def test_stable_leaves_4_trees_have_no_small_arities():

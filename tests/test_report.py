@@ -2,13 +2,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 
-from dsetree import hopf
-from dsetree.hopf import check_antipode, check_cocycle, check_counit, coproduct
+from dsetree import hopf, opbialg
+from dsetree.hopf import antipode, check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
 from dsetree.opbialg import check_core_homomorphism
-from dsetree.ptrees import binary_signature, enumerate_by_nodes, stable_signature
+from dsetree.ptrees import binary_signature, core_forest, enumerate_by_nodes, stable_signature
 from dsetree.report import check_coassociative, up_to
-from dsetree.trees import enumerate_forests
+from dsetree.trees import Forest, enumerate_forests
 
 FORESTS = up_to(enumerate_forests, 4)
 BINARY_TREES = up_to(partial(enumerate_by_nodes, binary_signature()), 4)
@@ -91,6 +91,33 @@ def test_coassociativity_driver_computes_each_coproduct_once():
         assert check_coassociative("counted", inputs, counted).passed
         assert set(calls.values()) == {1}
         assert calls.keys() >= set(inputs)
+
+
+def test_antipode_check_computes_each_antipode_once(monkeypatch):
+    calls = Counter()
+
+    def counted(x):
+        (f,) = x.terms
+        calls[f] += 1
+        return antipode(x)
+
+    monkeypatch.setattr(hopf, "antipode", counted)
+    assert check_antipode(5).passed
+    assert set(calls.values()) == {1}
+    assert calls.keys() == {upper for f in up_to(enumerate_forests, 5) for upper, _ in coproduct(f).terms}
+
+
+def test_core_homomorphism_check_takes_each_core_once(monkeypatch):
+    calls = Counter()
+
+    def counted(trees):
+        calls[Forest(trees)] += 1
+        return core_forest(trees)
+
+    monkeypatch.setattr(opbialg, "core_forest", counted)
+    assert check_core_homomorphism(stable_signature(3), 3).passed
+    assert set(calls.values()) == {1}
+    assert calls.keys() == {f for t in STABLE3_TREES for cut in coproduct(t).terms for f in cut}
 
 
 def test_coassociativity_driver_coefficients():
