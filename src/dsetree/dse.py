@@ -3,7 +3,8 @@
 Equations have the shape ``X = 1 + sum_t w * alpha^a * B+(X^m)`` with the
 grafting operator as the constructor; the solution is a truncated formal
 series in the coupling ``alpha`` with forest-combination coefficients,
-computed by induction on the order.
+computed by induction on the order.  Integer weights ``w`` give ``int``
+coefficients (tree counts); a rational weight brings in ``Fraction``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class DSETerm:
     """One summand ``w * alpha^a * B+(X^m)`` of a fixpoint equation."""
 
     alpha_power: int
-    coeff: Fraction
+    coeff: int | Fraction
     x_power: int
 
     def __post_init__(self) -> None:
@@ -135,17 +136,17 @@ def residual(spec: DSESpec, s: Series) -> list[HckElem]:
 
 def linear_spec(order: int) -> DSESpec:
     """``X = 1 + alpha B+(X)`` (the ladder equation)."""
-    return DSESpec((DSETerm(1, Fraction(1), 1),), order, name="linear")
+    return DSESpec((DSETerm(1, 1, 1),), order, name="linear")
 
 
 def quadratic_spec(order: int) -> DSESpec:
     """``X = 1 + alpha B+(X^2)``."""
-    return DSESpec((DSETerm(1, Fraction(1), 2),), order, name="quadratic")
+    return DSESpec((DSETerm(1, 1, 2),), order, name="quadratic")
 
 
 def geometric_spec(order: int) -> DSESpec:
     """``X = 1 + sum_{n>=1} alpha^n B+(X^{n+1})`` truncated at the order."""
-    terms = tuple(DSETerm(n, Fraction(1), n + 1) for n in range(1, max(order, 1) + 1))
+    terms = tuple(DSETerm(n, 1, n + 1) for n in range(1, max(order, 1) + 1))
     return DSESpec(terms, order, name="geometric")
 
 
@@ -160,7 +161,7 @@ def spec_from_signature(sig: Signature, by: str, order: int) -> DSESpec:
     if by == "leaves" and sig.has_small_arities():
         raise Nonfinite(SMALL_ARITIES_BY_LEAVES)
     arities = sorted(Counter(op.arity for op in sig.ops).items())
-    return DSESpec(tuple(DSETerm(1 if by == "nodes" else m - 1, Fraction(w), m) for m, w in arities), order)
+    return DSESpec(tuple(DSETerm(1 if by == "nodes" else m - 1, w, m) for m, w in arities), order)
 
 
 BUILTIN_SPECS = {

@@ -4,10 +4,11 @@ Elements are finite rational-linear combinations of forests; the product is
 multiset union of forests, the coproduct sums over admissible cuts (the
 root-containing subtree below, the forest of upper pieces above), and the
 antipode is the cancellation-free forest formula: a sum over every set of
-edges, signed by the number of pieces left.  All coefficients are exact
-:class:`fractions.Fraction` values.  The cut enumeration and the coproduct
-also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
-a call: callers that repeat work pass a table or a local ``functools.cache``.
+edges, signed by the number of pieces left.  Coefficients are exact: ``int``
+until a rational appears, then :class:`fractions.Fraction`.  The cut
+enumeration and the coproduct also serve the decorated trees of
+:mod:`dsetree.opbialg`.  No cache outlives a call: callers that repeat work
+pass a table or a local ``functools.cache``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import chain, product as iproduct
 from typing import Optional
 
 from .errors import MalformedCode
-from .linear import LinComb
+from .linear import LinComb, Scalar
 from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import EMPTY_FOREST, CombTree, Forest, enumerate_forests, graft, parse_forest
 
@@ -89,9 +90,9 @@ def coproduct(x, table: Optional[dict] = None) -> HckTensor:
     return HckTensor.sum(pairs)
 
 
-def counit(x: HckElem) -> Fraction:
+def counit(x: HckElem) -> Scalar:
     """Coefficient of the empty forest."""
-    return x.terms.get(EMPTY_FOREST, Fraction(0))
+    return x.terms.get(EMPTY_FOREST, 0)
 
 
 def _edge_cuts(t: CombTree, table: dict) -> list[tuple[CombTree, ...]]:

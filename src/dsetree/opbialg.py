@@ -12,7 +12,6 @@ leaf count, and their coproduct identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, product as iproduct
 from typing import Optional
@@ -30,9 +29,9 @@ from .trees import EMPTY_FOREST, Forest
 # algebra unit and differs from the forest of one bare edge: the degree-zero
 # part of this bialgebra is spanned by all nodeless forests, so it is not
 # connected.
-def op_counit(f: Forest) -> Fraction:
+def op_counit(f: Forest) -> int:
     """1 on nodeless forests, 0 otherwise."""
-    return Fraction(1) if f.degree == 0 else Fraction(0)
+    return 1 if f.degree == 0 else 0
 
 
 @dataclass(frozen=True)

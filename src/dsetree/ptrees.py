@@ -21,6 +21,7 @@ MAX_NODES = 12
 MAX_LEAVES = 10
 MAX_HEIGHT = 9
 MAX_LAYER_SIZE = 200_000
+GRADED_CACHE_SIZE = 64  # (signature, grading, size) entries: every size of a few signatures
 SMALL_ARITIES_BY_LEAVES = "signature has nullary or unary operations; pass a node bound"
 
 
@@ -178,7 +179,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRADED_CACHE_SIZE)
 def _graded(sig: Signature, by: str, k: int) -> tuple[PTree, ...]:
     """Trees of size ``k`` in code order.  A node of arity m weighs 1 by nodes and
     m - 1 by leaves, so size k by leaves is k + 1 leaves; that needs every arity >= 2."""

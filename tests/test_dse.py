@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 from dsetree.dse import (
     DSESpec,
     DSETerm,
+    _power_coefficient,
     geometric_spec,
     linear_spec,
     load_spec,
@@ -20,7 +21,8 @@ from dsetree.dse import (
     spec_from_signature,
 )
 from dsetree.errors import InvalidSpec, Nonfinite, OrderExceeded
-from dsetree.hopf import HckElem, parse_elem, product
+from dsetree.hopf import HckElem, coproduct, parse_elem, product
+from dsetree.linear import LinComb
 from dsetree.ptrees import Operation, Signature, core_census
 
 
@@ -169,7 +171,7 @@ signatures = st.builds(
 
 def equation_census(sig, by, k):
     series = solve(spec_from_signature(sig, by, k))
-    return {f: int(c) for f, c in series.coeffs[k].terms.items()}
+    return series.coeffs[k].terms
 
 
 @given(signatures, st.integers(0, 6))
@@ -188,3 +190,37 @@ def test_core_census_is_the_equation_coefficient(sig, n):
     expected = equation_census(sig, "leaves", n - 1) if n else {}
     assume(sum(expected.values()) <= 3000)
     assert core_census(sig, n, by="leaves") == expected
+
+
+def subalgebra_defect(coeffs, s):
+    """First n at which coproduct(c_n) differs from sum_{k<=n} [X^{ks+1}]_{n-k} (x) c_k, or None."""
+    for n, c_n in enumerate(coeffs):
+        expected = LinComb.sum(
+            ((f, g), c * d)
+            for k in range(n + 1)
+            for f, c in _power_coefficient(coeffs, k * s + 1, n - k).terms.items()
+            for g, d in coeffs[k].terms.items()
+        )
+        if coproduct(c_n) != expected:
+            return n
+    return None
+
+
+weights = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+
+
+@given(st.integers(0, 2), st.dictionaries(st.integers(1, 3), weights, min_size=1), st.integers(0, 6))
+def test_solution_spans_a_hopf_subalgebra(s, w, order):
+    # Bergbauer-Kreimer, Foissy: for X = 1 + sum_n w_n alpha^n B+(X^{ns+1}) the
+    # coefficients c_n span a Hopf subalgebra, with
+    # coproduct(c_n) = sum_{k<=n} [X^{ks+1}]_{n-k} (x) c_k.
+    spec = DSESpec(tuple(DSETerm(n, c, n * s + 1) for n, c in sorted(w.items())), order)
+    assert subalgebra_defect(solve(spec).coeffs, s) is None
+
+
+def test_hopf_subalgebra_identity_needs_the_matching_s():
+    # The geometric equation has s = 1; read with s = 2 the identity first fails at n = 2.
+    assert subalgebra_defect(solve(geometric_spec(7)).coeffs, 2) == 2
