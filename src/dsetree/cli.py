@@ -96,7 +96,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     _check_enum_bounds(args)
     k = args.n if args.by == "nodes" else args.n - 1  # by leaves, alpha^k counts k + 1 leaves
     series = dse.solve(dse.spec_from_signature(_signature_for_enumeration(args), args.by, max(k, 0)))
-    items = series.coeffs[k].rows() if k >= 0 else []
+    items = [(code, int(c)) for code, c in series.coeffs[k].rows()] if k >= 0 else []
     if args.format == "structured":
         print(json.dumps(dict(items), indent=2, sort_keys=True))
     else:

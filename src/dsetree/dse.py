@@ -3,8 +3,7 @@
 Equations have the shape ``X = 1 + sum_t w * alpha^a * B+(X^m)`` with the
 grafting operator as the constructor; the solution is a truncated formal
 series in the coupling ``alpha`` with forest-combination coefficients,
-computed by induction on the order.  Integer weights ``w`` give ``int``
-coefficients (tree counts); a rational weight brings in ``Fraction``.
+computed by induction on the order.
 """
 
 from __future__ import annotations

@@ -4,11 +4,10 @@ Elements are finite rational-linear combinations of forests; the product is
 multiset union of forests, the coproduct sums over admissible cuts (the
 root-containing subtree below, the forest of upper pieces above), and the
 antipode is the cancellation-free forest formula: a sum over every set of
-edges, signed by the number of pieces left.  Coefficients are exact: ``int``
-until a rational appears, then :class:`fractions.Fraction`.  The cut
-enumeration and the coproduct also serve the decorated trees of
-:mod:`dsetree.opbialg`.  No cache outlives a call: callers that repeat work
-pass a table or a local ``functools.cache``.
+edges, signed by the number of pieces left.  All coefficients are exact
+:class:`fractions.Fraction` values.  The cut enumeration and the coproduct
+also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
+a call: callers that repeat work pass a table or a local ``functools.cache``.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 One type serves both the rooted-forest Hopf algebra and the operadic-tree
 bialgebra: its keys are :class:`Forest` values (elements of the free
 commutative algebra on trees) or tuples of them (tensors).  Coefficients are
-exact: ``int`` until a rational appears, then :class:`fractions.Fraction`.
-Zero terms are never stored.
+exact :class:`fractions.Fraction` values and zero terms are never stored.
 """
 
 from __future__ import annotations
@@ -29,11 +28,8 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Key, Scalar] = ()):
-        # Any other number, such as the float 0.5, is stored exactly as a Fraction.
-        pairs = terms.items() if terms else ()
-        self.terms: dict[Key, Scalar] = {
-            k: c if type(c) is int or type(c) is Fraction else Fraction(c) for k, c in pairs if c
-        }
+        clean = {k: c if type(c) is Fraction else Fraction(c) for k, c in dict(terms).items() if c}
+        self.terms: dict[Key, Fraction] = clean
 
     @staticmethod
     def sum(pairs: Iterable[tuple[Key, Scalar]]) -> "LinComb":
@@ -98,7 +94,7 @@ class LinComb:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def rows(self) -> list[tuple[str, Scalar]]:
+    def rows(self) -> list[tuple[str, Fraction]]:
         """``(key code, coefficient)`` pairs in ascending code order.
 
         A tuple key is ordered by its factors' codes and printed joined by

