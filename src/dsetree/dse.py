@@ -9,7 +9,6 @@ computed by induction on the order.
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,12 +17,11 @@ from typing import Sequence
 
 from .errors import InvalidSpec, Nonfinite, OrderExceeded
 from .hopf import HckElem, bplus, product
+from .linear import parse_scalar
 from .ptrees import SMALL_ARITIES_BY_LEAVES, Signature
 from .trees import EMPTY_FOREST
 
 MAX_ORDER = 10
-# Fraction("1e<n>") takes superlinear time in n; exponents past Python's int/str digit limit are refused.
-MAX_COEFF_EXPONENT = 4300
 
 
 @dataclass(frozen=True)
@@ -177,18 +175,10 @@ def _integer(doc: dict, key: str) -> int:
     return value
 
 
-def _coefficient(doc: dict) -> Fraction:
-    text = str(doc["coeff"])
-    exponent = re.search(r"[eE]([-+]?[\d_]+)", text)
-    if exponent and abs(int(exponent.group(1))) > MAX_COEFF_EXPONENT:
-        raise InvalidSpec(f"coefficient {text!r} has an exponent beyond {MAX_COEFF_EXPONENT} in magnitude")
-    return Fraction(text)
-
-
 def spec_from_dict(data: dict, name: str = "") -> DSESpec:
     try:
         terms = tuple(
-            DSETerm(_integer(t, "alpha_power"), _coefficient(t), _integer(t, "x_power"))
+            DSETerm(_integer(t, "alpha_power"), parse_scalar(str(t["coeff"])), _integer(t, "x_power"))
             for t in data["terms"]
         )
         order = _integer(data, "order")

@@ -12,13 +12,12 @@ a call: callers that repeat work pass a table or a local ``functools.cache``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, product as iproduct
 from typing import Optional
 
 from .errors import MalformedCode
-from .linear import LinComb, Scalar
+from .linear import LinComb, Scalar, parse_scalar
 from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import EMPTY_FOREST, CombTree, Forest, enumerate_forests, graft, parse_forest
 
@@ -32,6 +31,18 @@ def product(x: HckElem, y: HckElem) -> HckElem:
     return x.product(y)
 
 
+def _children_first(t, done: dict) -> dict:
+    """The subtrees of ``t`` that are not keys of ``done``, each once and after its
+    children: the reversed pre-order of an explicit stack, so no call recurses."""
+    found, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if node not in done:
+            found.append(node)
+            stack.extend(node.children)
+    return dict.fromkeys(reversed(found))
+
+
 def tree_cuts(t, table: Optional[dict] = None) -> tuple[tuple[Forest, Forest], ...]:
     """All cuts of ``t`` as (upper forest, lower forest) pairs, the cut under the root first.
 
@@ -43,24 +54,25 @@ def tree_cuts(t, table: Optional[dict] = None) -> tuple[tuple[Forest, Forest], .
 
     ``table`` caches the work of one computation: it maps every tree met to
     its cuts and every forest met to one shared copy of it.  Without it a
-    fresh table is used.
+    fresh table is used.  It is filled children first, with no recursion.
     """
     if table is None:
         table = {}
     cuts = table.get(t)
     if cuts is not None:
         return cuts
-    whole = Forest([t])
-    found = [(table.setdefault(whole, whole), table.setdefault(t.stump, t.stump))]
-    if t.node_count:
-        # Per child: its cut under the root (the whole child goes above) or one
-        # of its other cuts (its root part stays below).
-        for combo in iproduct(*(tree_cuts(c, table) for c in t.children)):
-            upper = Forest([piece for pieces, _ in combo for piece in pieces.trees])
-            lower = Forest([t.with_children(kept for _, below in combo for kept in below.trees)])
-            found.append((table.setdefault(upper, upper), table.setdefault(lower, lower)))
-    cuts = table[t] = tuple(found)
-    return cuts
+    for node in _children_first(t, table):
+        whole = Forest([node])
+        found = [(table.setdefault(whole, whole), table.setdefault(node.stump, node.stump))]
+        if node.node_count:
+            # Per child: its cut under the root (the whole child goes above) or one
+            # of its other cuts (its root part stays below).
+            for combo in iproduct(*(table[c] for c in node.children)):
+                upper = Forest([piece for pieces, _ in combo for piece in pieces.trees])
+                lower = Forest([node.with_children(kept for _, below in combo for kept in below.trees)])
+                found.append((table.setdefault(upper, upper), table.setdefault(lower, lower)))
+        cuts = table[node] = tuple(found)
+    return cuts  # of ``t``, which comes after all its subtrees
 
 
 def coproduct(x, table: Optional[dict] = None) -> HckTensor:
@@ -97,19 +109,18 @@ def counit(x: HckElem) -> Scalar:
 def _edge_cuts(t: CombTree, table: dict) -> list[tuple[CombTree, ...]]:
     """For each set of edges of ``t``, the piece holding the root followed by
     the pieces cut off.  Each child edge is kept or cut, whatever is cut inside
-    the child.  ``table`` maps every tree met to its result."""
-    found = table.get(t)
-    if found is None:
+    the child.  ``table`` maps every tree met to its result, filled children first."""
+    for node in _children_first(t, table):
         # Per child edge: (child roots kept under the root, pieces cut off).
         choices = [
-            [choice for cut in _edge_cuts(c, table) for choice in (((cut[0],), cut[1:]), ((), cut))]
-            for c in t.children
+            [choice for cut in table[c] for choice in (((cut[0],), cut[1:]), ((), cut))]
+            for c in node.children
         ]
-        found = table[t] = [
+        table[node] = [
             (CombTree(r for kept, _ in combo for r in kept), *(piece for _, off in combo for piece in off))
             for combo in iproduct(*choices)
         ]
-    return found
+    return table[t]
 
 
 def antipode(x: HckElem) -> HckElem:
@@ -139,7 +150,7 @@ def parse_elem(s: str) -> HckElem:
         coeff_text, _, forest_text = part.partition("*")
         if not forest_text:
             raise MalformedCode(f"term without forest: {part!r}")
-        pairs.append((parse_forest(forest_text), Fraction(coeff_text)))
+        pairs.append((parse_forest(forest_text), parse_scalar(coeff_text)))
     return HckElem.sum(pairs)
 
 

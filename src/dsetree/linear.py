@@ -8,14 +8,26 @@ exact :class:`fractions.Fraction` values and zero terms are never stored.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Union
 
+from .errors import SizeLimit
 from .trees import EMPTY_FOREST, CombTree, Forest
 
 Scalar = Union[int, Fraction]
 Key = Union[Forest, tuple[Forest, ...]]
+# Fraction("1e<n>") takes superlinear time in n; exponents past Python's int/str digit limit are refused.
+MAX_COEFF_EXPONENT = 4300
+
+
+def parse_scalar(text: str) -> Fraction:
+    """Read a coefficient's text, refusing a decimal exponent beyond ``MAX_COEFF_EXPONENT``."""
+    exponent = re.search(r"[eE]([-+]?[\d_]+)", text)
+    if exponent and abs(int(exponent.group(1))) > MAX_COEFF_EXPONENT:
+        raise SizeLimit(f"coefficient {text!r} has an exponent beyond {MAX_COEFF_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 def _factors(key: Key) -> tuple[Forest, ...]:

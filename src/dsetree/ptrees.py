@@ -15,9 +15,8 @@ from itertools import accumulate, combinations, product as iproduct
 from typing import Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
-from .trees import MAX_DEPTH, Canonical, CombTree, EMPTY_FOREST, Forest
+from .trees import MAX_DEPTH, MAX_ENUM_NODES, Canonical, CombTree, Forest
 
-MAX_NODES = 12
 MAX_LEAVES = 10
 MAX_HEIGHT = 9
 MAX_LAYER_SIZE = 200_000
@@ -195,8 +194,8 @@ def enumerate_by_nodes(sig: Signature, n: int) -> list[PTree]:
     """All trees over ``sig`` with exactly ``n`` nodes, in code order."""
     if n < 0:
         raise ValueError("node count must be nonnegative")
-    if n > MAX_NODES:
-        raise SizeLimit(f"node enumeration capped at {MAX_NODES}, got {n}")
+    if n > MAX_ENUM_NODES:
+        raise SizeLimit(f"node enumeration capped at {MAX_ENUM_NODES}, got {n}")
     return list(_graded(sig, "nodes", n))
 
 
@@ -205,7 +204,7 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
 
     Signatures with nullary or unary operations have infinitely many trees
     per leaf count, so they require an explicit ``node_bound``, which lies in
-    ``0..MAX_NODES`` like the node count of :func:`enumerate_by_nodes`.
+    ``0..MAX_ENUM_NODES`` like the node count of :func:`enumerate_by_nodes`.
     """
     if n < 0:
         raise ValueError("leaf count must be nonnegative")
@@ -214,8 +213,8 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
     if node_bound is not None:
         if node_bound < 0:
             raise ValueError("node bound must be nonnegative")
-        if node_bound > MAX_NODES:
-            raise SizeLimit(f"node enumeration capped at {MAX_NODES}, got node bound {node_bound}")
+        if node_bound > MAX_ENUM_NODES:
+            raise SizeLimit(f"node enumeration capped at {MAX_ENUM_NODES}, got node bound {node_bound}")
     if sig.has_small_arities():
         if node_bound is None:
             raise Nonfinite(SMALL_ARITIES_BY_LEAVES)
@@ -256,9 +255,7 @@ def _core_tree(t: PTree) -> CombTree:
 
 def core(t: PTree) -> Forest:
     """Combinatorial tree of inner edges: decorations and outer edges dropped."""
-    if t.is_nil():
-        return EMPTY_FOREST
-    return Forest([_core_tree(t)])
+    return core_forest([t])
 
 
 def core_forest(trees) -> Forest:

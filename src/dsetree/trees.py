@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .errors import MalformedCode, SizeLimit
 
 MAX_ENUM_NODES = 12
-MAX_DEPTH = 200  # deepest nesting parsed; tree_cuts and coproduct, which recurse, fail from about 500
+MAX_DEPTH = 200  # deepest nesting the code parsers accept: they recurse once per level
 
 
 class Canonical:
@@ -144,9 +144,11 @@ def aut_order(t: CombTree) -> int:
     Equals the product, over all nodes, of the factorials of the
     multiplicities of pairwise-isomorphic child subtrees.
     """
-    order = 1
-    for child, mult in Counter(t.children).items():
-        order *= factorial(mult) * aut_order(child) ** mult
+    order, stack = 1, [t]
+    while stack:
+        node = stack.pop()
+        order *= prod(factorial(mult) for mult in Counter(node.children).values())
+        stack.extend(node.children)
     return order
 
 

@@ -57,27 +57,16 @@ def fold(sig: Signature, alg: FoldAlgebra, t: PTree) -> Any:
     return values[0]
 
 
-def check_computation_rules(
-    sig: Signature,
-    alg: FoldAlgebra,
-    bound: int,
-    evaluator: Callable[[Signature, FoldAlgebra, PTree], Any] | None = None,
-) -> CheckReport:
-    """Verify both computation rules on every tree up to the node bound.
+def _broken_rule(alg: FoldAlgebra, value: Callable[[PTree], Any], t: PTree):
+    """``(expected, actual)`` where ``value`` breaks a computation rule at ``t``, else None."""
+    got = value(t)
+    expected = alg.nil_value if t.is_nil() else alg.apply(t.op.name, [value(c) for c in t.children])
+    return None if got == expected else (repr(expected), repr(got))
 
-    ``evaluator`` defaults to :func:`fold`; passing another evaluator turns
-    this into a conformance test for it.
-    """
-    ev = evaluator or fold
 
-    def law(t: PTree):
-        actual = ev(sig, alg, t)
-        if t.is_nil():
-            expected = alg.nil_value
-        else:
-            expected = alg.apply(t.op.name, [ev(sig, alg, c) for c in t.children])
-        return None if actual == expected else (repr(expected), repr(actual))
-
+def check_computation_rules(sig: Signature, alg: FoldAlgebra, bound: int) -> CheckReport:
+    """Verify both computation rules of :func:`fold` on every tree up to the node bound."""
+    law = partial(_broken_rule, alg, partial(fold, sig, alg))
     return check_each("computation rules", up_to(partial(enumerate_by_nodes, sig), bound), law)
 
 
@@ -95,14 +84,10 @@ def check_fold_uniqueness(
     """
 
     def law(t: PTree):
-        got = candidate(t)
-        if t.is_nil():
-            expected = alg.nil_value
-        else:
-            expected = alg.apply(t.op.name, [candidate(c) for c in t.children])
-        if got != expected:
-            return (repr(expected), repr(got))
-        reference = fold(sig, alg, t)
+        broken = _broken_rule(alg, candidate, t)
+        if broken is not None:
+            return broken
+        got, reference = candidate(t), fold(sig, alg, t)
         return None if got == reference else (repr(reference), repr(got))
 
     return check_each("fold uniqueness", up_to(partial(enumerate_by_nodes, sig), bound), law)

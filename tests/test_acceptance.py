@@ -4,6 +4,7 @@ Each test prints one PASS line on success; timing assertions enforce the
 stated runtime budgets.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -156,34 +157,51 @@ def test_criterion_9_fold_semantics():
             value = wtypes.fold(s, a, t)
             return value + 1 if t.node_count == 1 else value
 
-        mutated = wtypes.check_computation_rules(sig, alg, 5, evaluator=corrupted)
+        mutated = wtypes.check_fold_uniqueness(sig, alg, lambda t: corrupted(sig, alg, t), 5)
         assert not mutated.passed
         assert min(code.count("b(") for code, _, _ in mutated.counterexamples) <= 2
     report("fixpoint stages, computation rules, uniqueness, mutation detection")
 
 
-ACCEPTANCE_COMMANDS = [
-    ("solve", "--spec", "linear", "--order", "5"),
-    ("solve", "--spec", "quadratic", "--order", "4"),
-    ("solve", "--spec", "geometric", "--order", "4"),
-    ("enumerate", "--signature", "stable", "--by", "leaves", "--n", "4"),
-    ("enumerate", "--signature", "binary", "--n", "4"),
-    ("enumerate", "--signature", "comb", "--n", "5"),
-    ("census", "--signature", "binary", "--n", "4"),
-    ("check", "--law", "coassoc", "--degree", "4"),
-    ("check", "--law", "antipode", "--degree", "4"),
-    ("check", "--law", "cocycle", "--degree", "4"),
-    ("check", "--law", "op-cocycle", "--signature", "binary", "--bound", "2"),
-    ("check", "--law", "core-hom", "--signature", "binary", "--bound", "4"),
-    ("check", "--law", "faa-di-bruno", "--signature", "binary", "--bound", "4"),
-    ("check", "--law", "lambek", "--signature", "identity", "--bound", "8"),
-    ("green", "--signature", "binary", "--bound", "3"),
-    ("fold-demo", "--demo", "nat", "--n", "4"),
-]
+# Each command's stdout sha256 and exit code, so the canonical output is pinned byte for byte.
+ACCEPTANCE_COMMANDS = {
+    ("solve", "--spec", "linear", "--order", "5"):
+        ("118ed11b34c83da0c45b8414f3f8aa2894cb6667174220d2aa36d48175695b08", 0),
+    ("solve", "--spec", "quadratic", "--order", "4"):
+        ("10173b9819a9178b8af74e9b502f4e45147ca1c776635ba5c8b5cef0495a5452", 0),
+    ("solve", "--spec", "geometric", "--order", "4"):
+        ("273fe94ca20f2bbc7bab52d70758250303a4dcad973f7d049c1223627b0c9952", 0),
+    ("enumerate", "--signature", "stable", "--by", "leaves", "--n", "4"):
+        ("a5a9964f585bc2463638d3ec5b0a5e1b68cb01949fe09215c05c9f7f0cdf5ffb", 0),
+    ("enumerate", "--signature", "binary", "--n", "4"):
+        ("232afe9939f30b8a60f954ca70d7754ca38989b7b73dd456922678194157fd6e", 0),
+    ("enumerate", "--signature", "comb", "--n", "5"):
+        ("b0e0b4413c686db8e507edd8052f599c302e3772dc5bdda8a90e8e679dc787ea", 0),
+    ("census", "--signature", "binary", "--n", "4"):
+        ("e23fc7b0d19c609ade353053c85b85bb0a018cf01b5aadf15bed8324e2643af0", 0),
+    ("check", "--law", "coassoc", "--degree", "4"):
+        ("c72d899077f3fefe514b038da0b45f3392525e65a239fd49fab4c783f1ac72a9", 0),
+    ("check", "--law", "antipode", "--degree", "4"):
+        ("63b61047d5085dd6363b6c72dea2967e9926489b5e914497adbcc6f884dad8ed", 0),
+    ("check", "--law", "cocycle", "--degree", "4"):
+        ("0fceade75757f4aed3d7ce5defdcc40f07ef1a8591bd6bbcbdd9f457df968051", 0),
+    ("check", "--law", "op-cocycle", "--signature", "binary", "--bound", "2"):
+        ("3cec4da2e93dc7792c2991f7f33e2caa084d874b448cb5b596d1f3eb6a9a8e88", 1),
+    ("check", "--law", "core-hom", "--signature", "binary", "--bound", "4"):
+        ("23575069e6c353252331cbacc68db6a83ba51181af147686ee561ef73ee97c7b", 0),
+    ("check", "--law", "faa-di-bruno", "--signature", "binary", "--bound", "4"):
+        ("7a01ca0d166d2f6a92414b8ce33defd83ff8f0589ef9b468efde368666e76f33", 0),
+    ("check", "--law", "lambek", "--signature", "identity", "--bound", "8"):
+        ("94bc51c54e7cd4a5b6537213054b83a51a81a3e1f4e9797a880713d5db0c0f18", 0),
+    ("green", "--signature", "binary", "--bound", "3"):
+        ("1dd11353251bd590daad36ee98633ff01e68786689ec1101a701469972c4296e", 0),
+    ("fold-demo", "--demo", "nat", "--n", "4"):
+        ("a0ed095ae3736810a9228ed8e6c2efa9d3ce6e47315c3bdfda9a067d96d5a127", 0),
+}
 
 
 def test_criterion_10_cli_determinism():
-    for cmd in ACCEPTANCE_COMMANDS:
+    for cmd, (digest, code) in ACCEPTANCE_COMMANDS.items():
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "dsetree.cli", *cmd],
@@ -193,6 +211,6 @@ def test_criterion_10_cli_determinism():
         ]
         assert runs[0].stdout == runs[1].stdout, f"nondeterministic output: {cmd}"
         assert runs[0].returncode == runs[1].returncode
-        expected_code = 1 if "op-cocycle" in cmd else 0
-        assert runs[0].returncode == expected_code, (cmd, runs[0].stderr)
+        assert runs[0].returncode == code, (cmd, runs[0].stderr)
+        assert hashlib.sha256(runs[0].stdout).hexdigest() == digest, f"output changed: {cmd}"
     report("byte-identical CLI output across repeated runs")

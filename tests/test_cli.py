@@ -88,7 +88,7 @@ def test_usage_errors_exit_2():
     assert run_cli("solve", "--spec", "/nonexistent.json", "--order", "2").returncode == 2
 
 
-def test_malformed_spec_file_exits_2(tmp_path):
+def test_malformed_spec_file_exits_2(tmp_path, capsys):
     term = {"alpha_power": 1, "coeff": "1", "x_power": 2}
     docs = [
         "{not json",
@@ -108,6 +108,10 @@ def test_malformed_spec_file_exits_2(tmp_path):
     start = time.perf_counter()
     assert cli.main(["solve", "--spec", str(path), "--order", "2"]) == 2
     assert time.perf_counter() - start < 1.0
+    path.write_text(json.dumps({"order": 2, "terms": [dict(term, coeff="1e5000")]}))
+    capsys.readouterr()
+    assert cli.main(["solve", "--spec", str(path), "--order", "2"]) == 2
+    assert capsys.readouterr().err == "error: coefficient '1e5000' has an exponent beyond 4300 in magnitude\n"
     path.write_text(json.dumps({"order": 2, "terms": [dict(term, coeff="1e3")]}))
     assert cli.main(["solve", "--spec", str(path), "--order", "2"]) == 0
 

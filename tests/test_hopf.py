@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
+
+from dsetree.errors import DsetreeError
 
 from dsetree.hopf import (
     HckElem,
@@ -17,14 +20,17 @@ from dsetree.hopf import (
     product,
     tree_cuts,
 )
+from dsetree.ptrees import NIL, PTree, identity_signature
 from dsetree.trees import (
     EMPTY_FOREST,
     LEAF,
     CombTree,
     Forest,
+    aut_order,
     enumerate_comb_trees,
     enumerate_forests,
     parse_code,
+    graft,
     parse_forest,
 )
 
@@ -102,6 +108,25 @@ def test_ladder_cut_count():
         assert len(tree_cuts(ladder)) == n + 1
         ladder = CombTree([ladder])
 
+
+def test_deep_trees_spend_no_frame_per_level():
+    # Built by the constructors, past the parsers' depth limit and the interpreter's recursion limit.
+    s = identity_signature().op("s")
+    ladder = NIL
+    for _ in range(520):
+        ladder = PTree(s, (ladder,))
+    assert len(coproduct(ladder).terms) == 521
+    tall = LEAF
+    for _ in range(4999):
+        tall = CombTree([tall])
+    assert aut_order(tall) == 1
+    assert aut_order(graft(Forest([tall, tall]))) == 2
+
+
+def test_parse_elem_refuses_huge_exponents():
+    with pytest.raises(DsetreeError, match="exponent beyond 4300"):
+        parse_elem("1e5000*()")
+    assert parse_elem("1e3*()") == elem("1000*()")
 
 def test_coproduct_grading():
     for d in range(6):

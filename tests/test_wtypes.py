@@ -93,7 +93,8 @@ def test_mutation_detected_at_small_size():
         value = fold(sig, alg, t)
         return value + 1 if t.node_count == 1 else value
 
-    report = check_computation_rules(BIN, node_count_algebra(BIN), 4, evaluator=corrupted)
+    alg = node_count_algebra(BIN)
+    report = check_fold_uniqueness(BIN, alg, lambda t: corrupted(BIN, alg, t), 4)
     assert not report.passed
     # A violation must already be visible on a tree with at most 2 nodes.
     assert min(code.count("b(") for code, _, _ in report.counterexamples) <= 2
