@@ -79,10 +79,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         sig = _signature_for_enumeration(args)
         if args.by == "nodes":
-            found = ptrees.enumerate_by_nodes(sig, args.n)
+            codes = ptrees.enumerate_by_nodes(sig, args.n, build=ptrees._code)
         else:
-            found = ptrees.enumerate_by_leaves(sig, args.n, node_bound=args.node_bound)
-        codes = [t.code for t in found]
+            codes = ptrees.enumerate_by_leaves(sig, args.n, args.node_bound, build=ptrees._code)
     if args.format == "structured":
         print(json.dumps({"count": len(codes), "trees": codes}, indent=2))
     else:
@@ -109,10 +108,10 @@ def _cmd_green(args: argparse.Namespace) -> int:
     if not 0 <= args.bound <= MAX_NODE_BOUND:
         raise SystemExit(_usage_error(f"--bound must lie in 0..{MAX_NODE_BOUND}"))
     sig = _load_signature(args.signature)
-    series = opbialg.green(sig, args.bound)
     by_leaves: dict[int, list[str]] = {}
-    for t in series.trees:
-        by_leaves.setdefault(t.leaf_count, []).append(t.code)
+    for k in range(args.bound + 1):
+        for code in ptrees.enumerate_by_nodes(sig, k, build=ptrees._code):
+            by_leaves.setdefault(code.count("|"), []).append(code)
     payload = {f"g_{n}": sorted(by_leaves[n]) for n in sorted(by_leaves)}
     if args.format == "structured":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -135,7 +134,7 @@ _TREE_LAWS = {
     "core-hom": opbialg.check_core_homomorphism,
     "faa-di-bruno": opbialg.check_faa_di_bruno,
     "lambek": wtypes.lambek_check,
-    "computation": lambda sig, bound: wtypes.check_computation_rules(sig, _node_count_algebra(sig), bound),
+    "computation": lambda sig, bound: wtypes.check_computation_rules(sig, _code_algebra(sig), bound),
 }
 
 
@@ -160,6 +159,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = _TREE_LAWS[law](sig, args.bound)
     print(report.summary() + f" [bound <= {args.bound}]")
     return 0 if report.passed else 1
+
+
+def _code_algebra(sig: ptrees.Signature) -> wtypes.FoldAlgebra:
+    # Rebuilds each tree's code, so a fold that feeds any slot the wrong child is caught.
+    return wtypes.FoldAlgebra("|", {op.name: (lambda *vs, op=op: ptrees._code(op, vs)) for op in sig.ops})
 
 
 def _node_count_algebra(sig: ptrees.Signature) -> wtypes.FoldAlgebra:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, product as iproduct
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
 from .trees import MAX_DEPTH, MAX_ENUM_NODES, Canonical, CombTree, Forest
@@ -20,7 +20,7 @@ from .trees import MAX_DEPTH, MAX_ENUM_NODES, Canonical, CombTree, Forest
 MAX_LEAVES = 10
 MAX_HEIGHT = 9
 MAX_LAYER_SIZE = 200_000
-GRADED_CACHE_SIZE = 64  # (signature, grading, size) entries: every size of a few signatures
+GRADED_CACHE_SIZE = 64  # (signature, grading, size, builder) entries: every size of a few signatures
 SMALL_ARITIES_BY_LEAVES = "signature has nullary or unary operations; pass a node bound"
 
 
@@ -178,29 +178,36 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
+def _code(op: Optional[Operation], kids: tuple[str, ...]) -> str:
+    """The code :class:`PTree` would give the node ``op`` over children with codes ``kids``."""
+    return "|" if op is None else op.name + "(" + ",".join(kids) + ")"
+
+
 @lru_cache(maxsize=GRADED_CACHE_SIZE)
-def _graded(sig: Signature, by: str, k: int) -> tuple[PTree, ...]:
-    """Trees of size ``k`` in code order.  A node of arity m weighs 1 by nodes and
-    m - 1 by leaves, so size k by leaves is k + 1 leaves; that needs every arity >= 2."""
-    out = [NIL] if k == 0 else []
+def _graded(sig: Signature, by: str, k: int, build: Callable) -> tuple:
+    """Trees of size ``k`` in code order, made by ``build``: :class:`PTree` or :func:`_code`,
+    which sort alike.  A node of arity m weighs 1 by nodes and m - 1 by leaves, so
+    size k by leaves is k + 1 leaves; that needs every arity >= 2."""
+    out = [build(None, ())] if k == 0 else []
     for op in sig.ops:
         for sizes in _compositions(k - (1 if by == "nodes" else op.arity - 1), op.arity):
-            for kids in iproduct(*(_graded(sig, by, size) for size in sizes)):
-                out.append(PTree(op, kids))
+            for kids in iproduct(*(_graded(sig, by, size, build) for size in sizes)):
+                out.append(build(op, kids))
     return tuple(sorted(out))
 
 
-def enumerate_by_nodes(sig: Signature, n: int) -> list[PTree]:
-    """All trees over ``sig`` with exactly ``n`` nodes, in code order."""
+def enumerate_by_nodes(sig: Signature, n: int, build: Callable = PTree) -> list:
+    """All trees over ``sig`` with exactly ``n`` nodes, in code order, made by ``build``."""
     if n < 0:
         raise ValueError("node count must be nonnegative")
     if n > MAX_ENUM_NODES:
         raise SizeLimit(f"node enumeration capped at {MAX_ENUM_NODES}, got {n}")
-    return list(_graded(sig, "nodes", n))
+    return list(_graded(sig, "nodes", n, build))
 
 
-def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None) -> list[PTree]:
-    """All trees over ``sig`` with exactly ``n`` leaves, in code order.
+def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None,
+                        build: Callable = PTree) -> list:
+    """All trees over ``sig`` with exactly ``n`` leaves, in code order, made by ``build``.
 
     Signatures with nullary or unary operations have infinitely many trees
     per leaf count, so they require an explicit ``node_bound``, which lies in
@@ -218,9 +225,9 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
     if sig.has_small_arities():
         if node_bound is None:
             raise Nonfinite(SMALL_ARITIES_BY_LEAVES)
-        trees = (t for k in range(node_bound + 1) for t in _graded(sig, "nodes", k))
-        return sorted(t for t in trees if t.leaf_count == n)
-    return list(_graded(sig, "leaves", n - 1))
+        trees = (t for k in range(node_bound + 1) for t in _graded(sig, "nodes", k, build))
+        return sorted(t for t in trees if getattr(t, "code", t).count("|") == n)
+    return list(_graded(sig, "leaves", n - 1, build))
 
 
 def kleene_layer(sig: Signature, k: int) -> set[PTree]:

@@ -197,6 +197,12 @@ ACCEPTANCE_COMMANDS = {
         ("1dd11353251bd590daad36ee98633ff01e68786689ec1101a701469972c4296e", 0),
     ("fold-demo", "--demo", "nat", "--n", "4"):
         ("a0ed095ae3736810a9228ed8e6c2efa9d3ce6e47315c3bdfda9a067d96d5a127", 0),
+    ("enumerate", "--signature", "list:2", "--by", "leaves", "--n", "3", "--node-bound", "4"):
+        ("70208bff8642430370abc73fdea79803febf896b536e7de34bcbd340846527ec", 0),
+    ("enumerate", "--signature", "stable:3", "--n", "4", "--format", "structured"):
+        ("5c2ae09d3ea34e395d938308f12683f1398d8d40fd25c14ac93bf58dc95ce3ba", 0),
+    ("green", "--signature", "stable:3", "--bound", "4", "--format", "structured"):
+        ("cc1f7dfaec5622b2f0a2765eda82641f69380f7009f659a2c1b0005763722afc", 0),
 }
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from dsetree import cli, dse, ptrees
+from dsetree import cli, dse, ptrees, wtypes
 from dsetree.errors import Nonfinite
 
 
@@ -257,3 +257,41 @@ def test_census_of_huge_populations_builds_no_tree(signature, n, total, lines, t
     assert sum(int(line.rsplit(" ", 1)[1]) for line in out) == total
     if lines:
         assert out == lines
+
+
+def test_computation_law_catches_a_fold_that_swaps_slots(monkeypatch, capsys):
+    def reversed_fold(sig, alg, t):
+        # Evaluates the slots in reverse order and hands the values over in that order.
+        if t.is_nil():
+            return alg.nil_value
+        return alg.apply(t.op.name, [reversed_fold(sig, alg, c) for c in reversed(t.children)])
+
+    argv = ["check", "--law", "computation", "--signature", "stable:3", "--bound", "4"]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(wtypes, "fold", reversed_fold)
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("PASS") and out[1].startswith("FAIL")
+    assert out[2].startswith("  counterexample: input=v2(v2(|,|),|) ")
+
+
+def test_enumerating_commands_hit_the_cache_when_repeated(capsys):
+    # The enumerating commands of every benchmark workload, at reduced sizes.
+    commands = [
+        ["enumerate", "--signature", "list:3", "--n", "4"],
+        ["green", "--signature", "stable:3", "--bound", "4"],
+        ["check", "--law", "op-coassoc", "--signature", "stable:4", "--bound", "3"],
+        ["check", "--law", "core-hom", "--signature", "stable:4", "--bound", "3"],
+        ["check", "--law", "faa-di-bruno", "--signature", "binary", "--bound", "4"],
+        ["check", "--law", "op-cocycle", "--signature", "binary", "--bound", "2"],
+    ]
+    ptrees._graded.cache_clear()
+    for argv in commands:
+        cli.main(argv)
+    cold = ptrees._graded.cache_info()
+    for argv in commands:
+        cli.main(argv)
+    warm = ptrees._graded.cache_info()
+    capsys.readouterr()
+    assert warm.misses == cold.misses and warm.hits > cold.hits
+    assert warm.currsize <= ptrees.GRADED_CACHE_SIZE

@@ -143,6 +143,26 @@ def test_leaf_grading_agrees_with_node_grading(names, arities, n):
     assert enumerate_by_leaves(sig, n) == sorted(expected)
 
 
+@given(
+    st.permutations(["a", "b", "ab"]),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    st.integers(0, 5),
+)
+def test_code_builder_enumerates_the_trees_codes(names, arities, n):
+    # One enumerator, two builders: the codes are the trees' codes, in the same order.
+    sig = Signature(tuple(map(Operation, names, arities)))
+    counts = solve(spec_from_signature(sig, "nodes", n)).coeffs
+    assume(sum(c for coeff in counts for c in coeff.terms.values()) <= 3000)
+    assert enumerate_by_nodes(sig, n, build=ptrees._code) == [t.code for t in enumerate_by_nodes(sig, n)]
+    if sig.has_small_arities():
+        trees = enumerate_by_leaves(sig, n, node_bound=n)
+        assert enumerate_by_leaves(sig, n, node_bound=n, build=ptrees._code) == [t.code for t in trees]
+    else:
+        # With every arity at least 2, a tree of n + 1 leaves has at most n nodes.
+        trees = enumerate_by_leaves(sig, n + 1)
+        assert enumerate_by_leaves(sig, n + 1, build=ptrees._code) == [t.code for t in trees]
+
+
 def test_stable_leaves_4_trees_have_no_small_arities():
     found = enumerate_by_leaves(stable_signature(4), 4)
     assert len(found) == 11
