@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import dse, hopf, opbialg, ptrees, trees, wtypes
-from .errors import DsetreeError
+from .errors import DsetreeError, SizeLimit
 
 MAX_NODE_BOUND = 8
 MAX_LEAF_BOUND = 10
@@ -54,10 +54,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise SystemExit(_usage_error(f"--order must lie in 0..{dse.MAX_ORDER}"))
     spec = _load_spec(args.spec, args.order)
     series = dse.solve(spec)
-    if args.format == "structured":
-        print(json.dumps(dse.series_to_dict(spec, series), indent=2, sort_keys=True))
-    else:
-        print(series.text())
+    try:
+        if args.format == "structured":
+            out = json.dumps(dse.series_to_dict(spec, series), indent=2, sort_keys=True)
+        else:
+            out = series.text()
+    except ValueError as exc:  # str() of an int longer than Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SizeLimit(f"a coefficient of the solution exceeds the {limit}-digit limit for printing an integer") from exc
+    print(out)
     return 0
 
 
@@ -166,13 +171,6 @@ def _code_algebra(sig: ptrees.Signature) -> wtypes.FoldAlgebra:
     return wtypes.FoldAlgebra("|", {op.name: (lambda *vs, op=op: ptrees._code(op, vs)) for op in sig.ops})
 
 
-def _node_count_algebra(sig: ptrees.Signature) -> wtypes.FoldAlgebra:
-    return wtypes.FoldAlgebra(
-        nil_value=0,
-        interp={op.name: (lambda *vs: 1 + sum(vs)) for op in sig.ops},
-    )
-
-
 def _cmd_fold_demo(args: argparse.Namespace) -> int:
     if not 0 <= args.n <= MAX_NODE_BOUND:
         raise SystemExit(_usage_error(f"--n must lie in 0..{MAX_NODE_BOUND}"))
@@ -186,13 +184,9 @@ def _cmd_fold_demo(args: argparse.Namespace) -> int:
             print(f"{ladder.code} -> {wtypes.fold(sig, alg, ladder)}")
         return 0
     sig = _load_signature(args.signature)
-    if args.demo == "node-count":
-        alg = _node_count_algebra(sig)
-    else:
-        alg = wtypes.FoldAlgebra(
-            nil_value=1,
-            interp={op.name: (lambda *vs: sum(vs)) for op in sig.ops},
-        )
+    # node-count adds one per operation node; leaf-count adds up the nil leaves.
+    nil, per_node = (0, 1) if args.demo == "node-count" else (1, 0)
+    alg = wtypes.FoldAlgebra(nil, {op.name: (lambda *vs: per_node + sum(vs)) for op in sig.ops})
     for t in ptrees.enumerate_by_nodes(sig, args.n):
         print(f"{t.code} -> {wtypes.fold(sig, alg, t)}")
     return 0

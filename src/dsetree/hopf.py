@@ -7,14 +7,15 @@ antipode is the cancellation-free forest formula: a sum over every set of
 edges, signed by the number of pieces left.  All coefficients are exact
 :class:`fractions.Fraction` values.  The cut enumeration and the coproduct
 also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
-a call: callers that repeat work pass a table or a local ``functools.cache``.
+a call: callers that repeat work pass a local ``functools.cache`` or a table,
+which maps trees to their cuts and forest codes to one shared forest each.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
 from itertools import chain, product as iproduct
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import MalformedCode
 from .linear import LinComb, Scalar, parse_scalar
@@ -43,6 +44,16 @@ def _children_first(t, done: dict) -> dict:
     return dict.fromkeys(reversed(found))
 
 
+def _shared(table: dict, trees: Sequence) -> Forest:
+    """The table's one forest of ``trees``, found by its code and built on first sight."""
+    code = "*".join(sorted([t.code for t in trees])) or "1"
+    forest = table.get(code)
+    if forest is None:
+        forest = Forest(trees)
+        table[forest.code] = forest  # the forest's own string, so each code is stored once
+    return forest
+
+
 def tree_cuts(t, table: Optional[dict] = None) -> tuple[tuple[Forest, Forest], ...]:
     """All cuts of ``t`` as (upper forest, lower forest) pairs, the cut under the root first.
 
@@ -53,8 +64,9 @@ def tree_cuts(t, table: Optional[dict] = None) -> tuple[tuple[Forest, Forest], .
     cut under its root.
 
     ``table`` caches the work of one computation: it maps every tree met to
-    its cuts and every forest met to one shared copy of it.  Without it a
-    fresh table is used.  It is filled children first, with no recursion.
+    its cuts, and every forest code met to the one forest of that code, built
+    on first sight (a tree never equals a string, so the keys never clash).
+    Without it a fresh table is used.  It is filled children first, with no recursion.
     """
     if table is None:
         table = {}
@@ -62,15 +74,14 @@ def tree_cuts(t, table: Optional[dict] = None) -> tuple[tuple[Forest, Forest], .
     if cuts is not None:
         return cuts
     for node in _children_first(t, table):
-        whole = Forest([node])
-        found = [(table.setdefault(whole, whole), table.setdefault(node.stump, node.stump))]
+        found = [(_shared(table, [node]), _shared(table, node.stump.trees))]
         if node.node_count:
             # Per child: its cut under the root (the whole child goes above) or one
             # of its other cuts (its root part stays below).
             for combo in iproduct(*(table[c] for c in node.children)):
-                upper = Forest([piece for pieces, _ in combo for piece in pieces.trees])
-                lower = Forest([node.with_children(kept for _, below in combo for kept in below.trees)])
-                found.append((table.setdefault(upper, upper), table.setdefault(lower, lower)))
+                upper = [piece for pieces, _ in combo for piece in pieces.trees]
+                lower = [node.with_children(kept for _, below in combo for kept in below.trees)]
+                found.append((_shared(table, upper), _shared(table, lower)))
         cuts = table[node] = tuple(found)
     return cuts  # of ``t``, which comes after all its subtrees
 
@@ -85,19 +96,19 @@ def coproduct(x, table: Optional[dict] = None) -> HckTensor:
     if table is None:
         table = {}
     if isinstance(x, LinComb):
-        weighted = x.terms.items()
+        weighted = [(forest.trees, coeff) for forest, coeff in x.terms.items()]
     else:
-        weighted = [(x if isinstance(x, Forest) else Forest([x]), 1)]
+        weighted = [(x.trees if isinstance(x, Forest) else (x,), 1)]
     pairs = []
-    for forest, coeff in weighted:
-        if len(forest.trees) == 1:
+    for trees, coeff in weighted:
+        if len(trees) == 1:
             # A tree's cuts are already pairs of shared forests.
-            pairs.extend((cut, coeff) for cut in tree_cuts(forest.trees[0], table))
+            pairs.extend((cut, coeff) for cut in tree_cuts(trees[0], table))
             continue
-        for combo in iproduct(*(tree_cuts(t, table) for t in forest.trees)):
-            upper = Forest([piece for pieces, _ in combo for piece in pieces.trees])
-            lower = Forest([piece for _, pieces in combo for piece in pieces.trees])
-            pairs.append(((table.setdefault(upper, upper), table.setdefault(lower, lower)), coeff))
+        for combo in iproduct(*(tree_cuts(t, table) for t in trees)):
+            upper = [piece for pieces, _ in combo for piece in pieces.trees]
+            lower = [piece for _, pieces in combo for piece in pieces.trees]
+            pairs.append(((_shared(table, upper), _shared(table, lower)), coeff))
     return HckTensor.sum(pairs)
 
 

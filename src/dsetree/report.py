@@ -67,19 +67,22 @@ def check_coassociative(
 
     ``coproduct`` maps an input, and every forest in its result, to a
     linear combination of forest pairs.  It is called once per distinct
-    forest over the whole check.
+    forest over the whole check.  Each distinct forest is numbered the first
+    time it is met, so the double sum adds up terms keyed by triples of ints.
     """
+    forests: list[Any] = []  # each distinct forest met, at its number
+    number = cache(lambda x: forests.append(x) or len(forests) - 1)
 
     @cache
-    def delta(x: Any) -> list[tuple[Any, Any, Any]]:
+    def delta(n: int) -> list[tuple[int, int, Any]]:
         # Integral coefficients become ints: exact, and cheaper to multiply.
-        terms = coproduct(x).terms.items()
-        return [(a, b, c.numerator if c.denominator == 1 else c) for (a, b), c in terms]
+        terms = coproduct(forests[n]).terms.items()
+        return [(number(a), number(b), c.numerator if c.denominator == 1 else c) for (a, b), c in terms]
 
     def law(x: Any) -> Optional[tuple[str, str]]:
-        left: dict[tuple, Any] = {}
-        right: dict[tuple, Any] = {}
-        for a, b, c in delta(x):
+        left: dict[tuple[int, int, int], Any] = {}
+        right: dict[tuple[int, int, int], Any] = {}
+        for a, b, c in delta(number(x)):
             for a1, a2, c2 in delta(a):
                 key = (a1, a2, b)
                 left[key] = left.get(key, 0) + c * c2

@@ -116,6 +116,23 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys):
     assert cli.main(["solve", "--spec", str(path), "--order", "2"]) == 0
 
 
+def test_solve_refuses_a_coefficient_too_long_to_print(tmp_path, capsys):
+    term = {"alpha_power": 1, "x_power": 2}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"order": 10, "terms": [dict(term, coeff="1e500")]}))
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("text", "structured"):
+        capsys.readouterr()
+        assert cli.main(["solve", "--spec", str(path), "--order", "10", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: a coefficient of the solution exceeds the {limit}-digit limit for printing an integer\n"
+    # c_10 of 1e400 has about 4000 digits: it still prints.
+    path.write_text(json.dumps({"order": 10, "terms": [dict(term, coeff="1e400")]}))
+    assert cli.main(["solve", "--spec", str(path), "--order", "10"]) == 0
+    assert len(capsys.readouterr().out) > 1_400_000
+
+
 def test_spec_file_accepted(tmp_path):
     doc = {"order": 2, "terms": [{"alpha_power": 1, "coeff": "1", "x_power": 1}]}
     path = tmp_path / "linear.json"

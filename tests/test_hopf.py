@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,8 @@ from dsetree.hopf import (
     product,
     tree_cuts,
 )
-from dsetree.ptrees import NIL, PTree, identity_signature
+from dsetree.ptrees import NIL, PTree, enumerate_by_nodes, identity_signature, stable_signature
+from dsetree.report import up_to
 from dsetree.trees import (
     EMPTY_FOREST,
     LEAF,
@@ -121,6 +124,24 @@ def test_deep_trees_spend_no_frame_per_level():
         tall = CombTree([tall])
     assert aut_order(tall) == 1
     assert aut_order(graft(Forest([tall, tall]))) == 2
+
+
+def test_coproduct_builds_one_forest_per_code(monkeypatch):
+    # One table serves planar trees and comb forests alike; a forest met again
+    # is found by its code, not built again.
+    inputs = [*up_to(partial(enumerate_by_nodes, stable_signature(3)), 4), *up_to(enumerate_forests, 4)]
+    built = Counter()
+    init = Forest.__init__
+
+    def counted(self, trees=()):
+        init(self, trees)
+        built[self.code] += 1
+
+    monkeypatch.setattr(Forest, "__init__", counted)
+    table: dict = {}
+    for x in inputs:
+        coproduct(x, table)
+    assert built and max(built.values()) == 1, built.most_common(3)
 
 
 def test_parse_elem_refuses_huge_exponents():

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from dsetree import hopf, opbialg
 from dsetree.hopf import antipode, check_antipode, check_cocycle, check_counit, coproduct
@@ -8,7 +9,7 @@ from dsetree.linear import LinComb
 from dsetree.opbialg import check_core_homomorphism
 from dsetree.ptrees import binary_signature, core_forest, enumerate_by_nodes, stable_signature
 from dsetree.report import check_coassociative, up_to
-from dsetree.trees import Forest, enumerate_forests
+from dsetree.trees import LEAF, Forest, enumerate_forests
 
 FORESTS = up_to(enumerate_forests, 4)
 BINARY_TREES = up_to(partial(enumerate_by_nodes, binary_signature()), 4)
@@ -156,3 +157,33 @@ def test_antipode_check_reports_the_unsigned_antipode(monkeypatch):
         for degree in range(1, 5):
             assert not check_antipode(degree).passed, degree
     assert check_antipode(4).passed
+
+
+def product_off_by_one_on_degree_one_pairs(product):
+    """The product with the coefficient of f*g raised by one for every pair of one-node forests f, g."""
+
+    def mutant(x, y):
+        extra = [(f.union(g), 1) for f in x.terms for g in y.terms if f.degree == g.degree == 1]
+        return LinComb.sum(chain(product(x, y).terms.items(), extra))
+
+    return mutant
+
+
+def graft_adds_a_leaf_under_two_tree_forests(graft):
+    """Grafting with one more leaf under the new root of every 2-tree forest."""
+
+    def mutant(f):
+        return graft(Forest([*f.trees, LEAF]) if len(f.trees) == 2 else f)
+
+    return mutant
+
+
+def test_law_checks_report_product_and_graft_mutants(monkeypatch):
+    for name, mutant, check in (
+        ("product", product_off_by_one_on_degree_one_pairs, partial(check_antipode, 4)),
+        ("graft", graft_adds_a_leaf_under_two_tree_forests, partial(check_cocycle, 4)),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(hopf, name, mutant(getattr(hopf, name)))
+            assert not check().passed, name
+        assert check().passed, name
