@@ -7,18 +7,20 @@ antipode is the cancellation-free forest formula: a sum over every set of
 edges, signed by the number of pieces left.  All coefficients are exact
 :class:`fractions.Fraction` values.  The cut enumeration and the coproduct
 also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
-a call: callers that repeat work pass a local ``functools.cache`` or a table,
-which maps trees to their cuts and forest codes to one shared forest each.
+a call: callers that repeat work pass a local ``functools.cache`` or a cut table.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, product as iproduct
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import MalformedCode
 from .linear import LinComb, Scalar, parse_scalar
+from .ptrees import NIL, PTree
 from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import EMPTY_FOREST, CombTree, Forest, enumerate_forests, graft, parse_forest
 
@@ -32,84 +34,124 @@ def product(x: HckElem, y: HckElem) -> HckElem:
     return x.product(y)
 
 
-def _children_first(t, done: dict) -> dict:
-    """The subtrees of ``t`` that are not keys of ``done``, each once and after its
-    children: the reversed pre-order of an explicit stack, so no call recurses."""
-    found, stack = [], [t]
+def _children_first(root, done, children=lambda node: node.children) -> dict:
+    """``root`` and what lies below it that is not ``done`` yet, each once and after
+    its children: the reversed pre-order of an explicit stack, so no call recurses."""
+    found, stack = [], [root]
     while stack:
         node = stack.pop()
-        if node not in done:
+        if not done(node):
             found.append(node)
-            stack.extend(node.children)
+            stack.extend(children(node))
     return dict.fromkeys(reversed(found))
 
 
-def _shared(table: dict, trees: Sequence) -> Forest:
-    """The table's one forest of ``trees``, found by its code and built on first sight."""
-    code = "*".join(sorted([t.code for t in trees])) or "1"
-    forest = table.get(code)
-    if forest is None:
-        forest = Forest(trees)
-        table[forest.code] = forest  # the forest's own string, so each code is stored once
-    return forest
+class _Ids:
+    """Small int ids for the trees and forests of one cut table, given on first sight.
+
+    A forest's key is the sorted tuple of its members' ids; a tree's is its operation
+    name (``""`` for a comb tree, ``"|"`` for the bare edge) and its child ids, sorted
+    for a comb tree.  A tree's proto is a tree of the same kind and root label.
+    """
+
+    def __init__(self):
+        self.ids: dict = {}  # each key, and each tree object met -> its id
+        self.keys, self.protos, self.objs, self.cuts = [], [], [], []  # per id; a forest's proto is None
+
+    def number(self, key: tuple, proto=None) -> int:
+        n = self.ids.get(key)
+        if n is None:
+            n = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.protos.append(proto)
+            self.objs.append(None)
+            self.cuts.append(None)
+        return n
+
+    def parts(self, n: int) -> tuple[int, ...]:
+        """The members of forest ``n`` or the children of tree ``n``."""
+        return self.keys[n] if self.protos[n] is None else self.keys[n][1:]
+
+    def tree(self, t) -> int:
+        """The id of the tree object ``t``; unknown subtrees are numbered children first."""
+        n = self.ids.get(t)
+        if n is None:
+            for node in _children_first(t, self.ids.__contains__):
+                kids = [self.ids[c] for c in node.children]
+                head = "" if type(node) is CombTree else node.op.name if node.op else "|"
+                n = self.ids[node] = self.number((head, *(kids if head else sorted(kids))), node)
+                self.objs[n] = self.objs[n] or node
+        return n
+
+    def obj(self, n: int):
+        """The object of forest or tree ``n``, built with what it lacks, children first."""
+        for i in _children_first(n, self.objs.__getitem__, self.parts):
+            p, kids = self.protos[i], [self.objs[k] for k in self.parts(i)]
+            self.objs[i] = Forest(kids) if p is None else CombTree(kids) if type(p) is CombTree else PTree(p.op, kids)
+        return self.objs[n]
+
+    def tree_cuts(self, n: int) -> tuple[int, ...]:
+        """The cuts of tree ``n``, upper and lower forest id in turn, filled children first."""
+        for i in _children_first(n, self.cuts.__getitem__, self.parts):
+            node, head = self.protos[i], self.keys[i][:1]
+            # Below the cut under the root: nothing of a comb tree, the root edge of a decorated one.
+            found = [self.number((i,)), self.number((self.tree(NIL),) if head[0] else ())]
+            if head != ("|",):
+                # Per child: its cut under the root (all of it above) or another (its root part below).
+                for above, below in self.choices([self.cuts[c] for c in self.parts(i)]):
+                    kept = sum(below, ())
+                    lower = self.number(head + (kept if head[0] else tuple(sorted(kept))), node)
+                    found += (self.number(tuple(sorted(sum(above, ())))), self.number((lower,)))
+            self.cuts[i] = tuple(found)
+        return self.cuts[n]
+
+    def choices(self, flats):
+        """Every choice of one cut per flat cut tuple, as (upper parts, lower parts) of member ids."""
+        uppers, lowers = ([[self.keys[f] for f in flat[side::2]] for flat in flats] for side in (0, 1))
+        return zip(iproduct(*uppers), iproduct(*lowers))
+
+    def forest_cuts(self, trees) -> Counter:
+        """How often each (upper, lower) forest id pair is a cut of the forest of ``trees``."""
+        flats = [self.cuts[n] or self.tree_cuts(n) for n in map(self.tree, trees)]
+        if len(flats) == 1:
+            return Counter(zip(flats[0][::2], flats[0][1::2]))
+        return Counter(tuple(self.number(tuple(sorted(sum(side, ())))) for side in cut) for cut in self.choices(flats))
 
 
 def tree_cuts(t, table: Optional[dict] = None) -> tuple[tuple[Forest, Forest], ...]:
     """All cuts of ``t`` as (upper forest, lower forest) pairs, the cut under the root first.
 
-    ``t`` is a :class:`CombTree` or a decorated tree.  The lower factor is
-    the forest of the root-containing part: ``t.stump`` for the cut under the
-    root, otherwise one tree, rebuilt by ``t.with_children``.  The upper
-    factor collects the pieces above the cut.  A nodeless tree has only the
-    cut under its root.
-
-    ``table`` caches the work of one computation: it maps every tree met to
-    its cuts, and every forest code met to the one forest of that code, built
-    on first sight (a tree never equals a string, so the keys never clash).
-    Without it a fresh table is used.  It is filled children first, with no recursion.
+    ``t`` is a :class:`CombTree` or a decorated tree.  Below the cut under the root
+    lies nothing of a comb tree and the bare root edge of a decorated one; below any
+    other cut lies one tree.  ``table`` caches one computation's work (a fresh one
+    without it): its trees and forests get small int ids, each tree's cuts are a flat
+    tuple of forest ids filled children first with no recursion, and a forest, with
+    any tree it holds, is built once and only when it leaves in a result.
     """
-    if table is None:
-        table = {}
-    cuts = table.get(t)
-    if cuts is not None:
-        return cuts
-    for node in _children_first(t, table):
-        found = [(_shared(table, [node]), _shared(table, node.stump.trees))]
-        if node.node_count:
-            # Per child: its cut under the root (the whole child goes above) or one
-            # of its other cuts (its root part stays below).
-            for combo in iproduct(*(table[c] for c in node.children)):
-                upper = [piece for pieces, _ in combo for piece in pieces.trees]
-                lower = [node.with_children(kept for _, below in combo for kept in below.trees)]
-                found.append((_shared(table, upper), _shared(table, lower)))
-        cuts = table[node] = tuple(found)
-    return cuts  # of ``t``, which comes after all its subtrees
+    ids = _Ids() if table is None else table.get(_Ids) or table.setdefault(_Ids, _Ids())
+    flat = ids.tree_cuts(ids.tree(t))
+    return tuple(zip(map(ids.obj, flat[::2]), map(ids.obj, flat[1::2])))
 
 
 def coproduct(x, table: Optional[dict] = None) -> HckTensor:
     """Cut coproduct of a tree, a forest or a linear combination of forests.
 
     It is extended multiplicatively to forests and linearly to combinations.
-    ``table`` is the cache of :func:`tree_cuts`; the factors of the result
-    are its shared forests.
+    ``table`` is the cache of :func:`tree_cuts`, whose forests are the factors.
     """
-    if table is None:
-        table = {}
+    ids = _Ids() if table is None else table.get(_Ids) or table.setdefault(_Ids, _Ids())
     if isinstance(x, LinComb):
-        weighted = [(forest.trees, coeff) for forest, coeff in x.terms.items()]
+        acc: Counter = Counter()
+        for forest, coeff in x.terms.items():
+            for pair, n in ids.forest_cuts(forest.trees).items():
+                acc[pair] += n * coeff
     else:
-        weighted = [(x.trees if isinstance(x, Forest) else (x,), 1)]
-    pairs = []
-    for trees, coeff in weighted:
-        if len(trees) == 1:
-            # A tree's cuts are already pairs of shared forests.
-            pairs.extend((cut, coeff) for cut in tree_cuts(trees[0], table))
-            continue
-        for combo in iproduct(*(tree_cuts(t, table) for t in trees)):
-            upper = [piece for pieces, _ in combo for piece in pieces.trees]
-            lower = [piece for _, pieces in combo for piece in pieces.trees]
-            pairs.append(((_shared(table, upper), _shared(table, lower)), coeff))
-    return HckTensor.sum(pairs)
+        acc = ids.forest_cuts(x.trees if isinstance(x, Forest) else (x,))
+    one, objs, obj = Fraction(1), ids.objs, ids.obj
+    return HckTensor._adopt({
+        (objs[u] or obj(u), objs[l] or obj(l)): one if c == 1 else Fraction(c)
+        for (u, l), c in acc.items() if c
+    })
 
 
 def counit(x: HckElem) -> Scalar:
@@ -121,7 +163,7 @@ def _edge_cuts(t: CombTree, table: dict) -> list[tuple[CombTree, ...]]:
     """For each set of edges of ``t``, the piece holding the root followed by
     the pieces cut off.  Each child edge is kept or cut, whatever is cut inside
     the child.  ``table`` maps every tree met to its result, filled children first."""
-    for node in _children_first(t, table):
+    for node in _children_first(t, table.__contains__):
         # Per child edge: (child roots kept under the root, pieces cut off).
         choices = [
             [choice for cut in table[c] for choice in (((cut[0],), cut[1:]), ((), cut))]

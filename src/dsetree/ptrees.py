@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, product as iproduct
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
 from .trees import MAX_DEPTH, MAX_ENUM_NODES, Canonical, CombTree, Forest
@@ -94,16 +94,8 @@ class PTree(Canonical):
     def is_nil(self) -> bool:
         return self.op is None
 
-    def with_children(self, children: Iterable["PTree"]) -> "PTree":
-        """A node of this tree's operation over the given children, in slot order."""
-        return PTree(self.op, tuple(children))
-
 
 NIL = PTree()
-
-# What lies below the cut under the root: the cut edge is split, so the root
-# edge stays as a bare edge.
-PTree.stump = Forest([NIL])
 
 
 def parse_ptree(s: str, sig: Signature) -> PTree:

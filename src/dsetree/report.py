@@ -71,7 +71,13 @@ def check_coassociative(
     time it is met, so the double sum adds up terms keyed by triples of ints.
     """
     forests: list[Any] = []  # each distinct forest met, at its number
-    number = cache(lambda x: forests.append(x) or len(forests) - 1)
+
+    class Numbers(dict):
+        def __missing__(self, x: Any) -> int:
+            forests.append(x)
+            return self.setdefault(x, len(forests) - 1)
+
+    number = Numbers().__getitem__  # a dict lookup, unless the forest is new
 
     @cache
     def delta(n: int) -> list[tuple[int, int, Any]]:

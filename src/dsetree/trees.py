@@ -53,10 +53,6 @@ class CombTree(Canonical):
         self.children: tuple[CombTree, ...] = tuple(kids)
         self.code: str = "(" + "".join(t.code for t in kids) + ")"
 
-    def with_children(self, children: Iterable["CombTree"]) -> "CombTree":
-        """A tree whose root has the given children, in any order."""
-        return CombTree(children)
-
 
 LEAF = CombTree()
 
@@ -88,9 +84,6 @@ class Forest(Canonical):
 
 
 EMPTY_FOREST = Forest()
-
-# What lies below the cut under the root: removing the root edge leaves nothing.
-CombTree.stump = EMPTY_FOREST
 
 
 def canon_code(t: CombTree) -> str:

@@ -22,7 +22,18 @@ from dsetree.hopf import (
     product,
     tree_cuts,
 )
-from dsetree.ptrees import NIL, PTree, enumerate_by_nodes, identity_signature, stable_signature
+from dsetree import hopf, linear, report
+from dsetree.hopf import _Ids
+from dsetree.ptrees import (
+    NIL,
+    Operation,
+    PTree,
+    Signature,
+    enumerate_by_nodes,
+    identity_signature,
+    parse_ptree,
+    stable_signature,
+)
 from dsetree.report import up_to
 from dsetree.trees import (
     EMPTY_FOREST,
@@ -142,6 +153,69 @@ def test_coproduct_builds_one_forest_per_code(monkeypatch):
     for x in inputs:
         coproduct(x, table)
     assert built and max(built.values()) == 1, built.most_common(3)
+
+
+def _deep_ladder(sig, bottom, depth=520):
+    s = sig.op("s")
+    ladder = bottom
+    for _ in range(depth):
+        ladder = PTree(s, (ladder,))
+    return ladder
+
+
+@pytest.mark.parametrize("bottom", ["|", "b(|,|)"])
+def test_lower_trees_met_only_through_ids_build_without_recursion(bottom):
+    # Over ``b(|,|)`` no lower tree of a cut is a subtree of the ladder, so the
+    # table builds every lower tree that leaves from its ids alone.
+    sig = Signature((Operation("s", 1), Operation("b", 2)))
+    ladder = _deep_ladder(sig, parse_ptree(bottom, sig))
+    table: dict = {}
+    delta = coproduct(ladder, table)
+    assert len(delta.terms) == 521 + (bottom != "|")
+    # The cut that takes off the fewest nodes, but some.
+    deepest = max((lower for upper, lower in delta.terms if upper.degree), key=lambda f: f.degree)
+    assert deepest.degree == 519 + (bottom != "|")
+    assert coproduct(deepest, table) == coproduct(deepest, {})
+    (lower_tree,) = deepest.trees
+    assert tree_cuts(lower_tree, table) == tree_cuts(lower_tree, {})
+
+
+def test_one_table_keeps_ids_canonical_across_kinds_and_signatures():
+    stable3 = stable_signature(3)
+    # ``v2`` means what it means in stable:3, ``v3`` clashes with it at another arity.
+    clash = Signature((Operation("v1", 1), Operation("v2", 2), Operation("v3", 1)))
+    planar = [*up_to(partial(enumerate_by_nodes, stable3), 4), *up_to(partial(enumerate_by_nodes, clash), 4)]
+    comb = up_to(enumerate_forests, 5)
+    table: dict = {}
+    for x in [y for pair in zip(planar, comb) for y in pair] + planar[len(comb):] + comb[len(planar):]:
+        assert coproduct(x, table) == coproduct(x, {}), x
+    ids = table[_Ids]
+    assert ids.tree(NIL) != ids.tree(LEAF)
+    left, right = (parse_ptree(code, clash) for code in ("v2(v1(|),|)", "v2(|,v1(|))"))
+    assert ids.tree(left) != ids.tree(right)
+    assert ids.tree(parse_ptree("v3(|)", clash)) != ids.tree(parse_ptree("v3(|,|,|)", stable3))
+    for t in (NIL, LEAF, left, right):
+        assert tree_cuts(t, table) == tree_cuts(t, {})
+
+
+def test_cut_layer_keeps_no_module_level_table():
+    def sizes():
+        return {
+            (module.__name__, name): len(value)
+            for module in (hopf, linear, report)
+            for name, value in vars(module).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        }
+
+    before = sizes()
+    sig = Signature((Operation("f", 2), Operation("g", 1)))
+    for t in up_to(partial(enumerate_by_nodes, sig), 4):
+        coproduct(t)
+        tree_cuts(t)
+    for f in up_to(enumerate_forests, 5):
+        coproduct(f)
+        tree_cuts(graft(f))
+    assert sizes() == before
 
 
 def test_parse_elem_refuses_huge_exponents():
