@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import chain, product as iproduct
 from typing import Optional
 
@@ -51,7 +51,8 @@ class _Ids:
 
     A forest's key is the sorted tuple of its members' ids; a tree's is its operation
     name (``""`` for a comb tree, ``"|"`` for the bare edge) and its child ids, sorted
-    for a comb tree.  A tree's proto is a tree of the same kind and root label.
+    for a comb tree.  A tree's proto is a tree of the same kind and root label.  Law
+    checks run on ids (:meth:`delta`) and build objects (:meth:`obj`) only to print.
     """
 
     def __init__(self):
@@ -110,9 +111,17 @@ class _Ids:
         uppers, lowers = ([[self.keys[f] for f in flat[side::2]] for flat in flats] for side in (0, 1))
         return zip(iproduct(*uppers), iproduct(*lowers))
 
+    def forest(self, f: Forest) -> int:
+        """The id of the forest object ``f``."""
+        return self.number(tuple(sorted(map(self.tree, f.trees))))
+
+    def delta(self, n: int) -> Counter:
+        """How often each (upper, lower) forest id pair is a cut of forest ``n``."""
+        return self.forest_cuts(self.keys[n])
+
     def forest_cuts(self, trees) -> Counter:
-        """How often each (upper, lower) forest id pair is a cut of the forest of ``trees``."""
-        flats = [self.cuts[n] or self.tree_cuts(n) for n in map(self.tree, trees)]
+        """How often each (upper, lower) forest id pair is a cut of the forest of tree ids ``trees``."""
+        flats = [self.cuts[n] or self.tree_cuts(n) for n in trees]
         if len(flats) == 1:
             return Counter(zip(flats[0][::2], flats[0][1::2]))
         return Counter(tuple(self.number(tuple(sorted(sum(side, ())))) for side in cut) for cut in self.choices(flats))
@@ -143,10 +152,10 @@ def coproduct(x, table: Optional[dict] = None) -> HckTensor:
     if isinstance(x, LinComb):
         acc: Counter = Counter()
         for forest, coeff in x.terms.items():
-            for pair, n in ids.forest_cuts(forest.trees).items():
+            for pair, n in ids.forest_cuts(map(ids.tree, forest.trees)).items():
                 acc[pair] += n * coeff
     else:
-        acc = ids.forest_cuts(x.trees if isinstance(x, Forest) else (x,))
+        acc = ids.forest_cuts(map(ids.tree, x.trees if isinstance(x, Forest) else (x,)))
     one, objs, obj = Fraction(1), ids.objs, ids.obj
     return HckTensor._adopt({
         (objs[u] or obj(u), objs[l] or obj(l)): one if c == 1 else Fraction(c)
@@ -224,8 +233,8 @@ def check_cocycle(degree_bound: int) -> CheckReport:
 
 def check_coassociativity(degree_bound: int) -> CheckReport:
     """Verify (coproduct x Id) and (Id x coproduct) agree on small forests."""
-    forests = up_to(enumerate_forests, degree_bound)
-    return check_coassociative("coassociativity", forests, partial(coproduct, table={}))
+    ids = _Ids()
+    return check_coassociative("coassociativity", up_to(enumerate_forests, degree_bound), ids.forest, ids.delta)
 
 
 def check_counit(degree_bound: int) -> CheckReport:

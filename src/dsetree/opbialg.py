@@ -11,6 +11,7 @@ leaf count, and their coproduct identity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, product as iproduct
@@ -20,7 +21,7 @@ from . import hopf
 from .errors import SizeLimit
 from .hopf import coproduct, tree_cuts
 from .linear import LinComb
-from .ptrees import Operation, PTree, Signature, core, core_forest, enumerate_by_nodes
+from .ptrees import Operation, PTree, Signature, core_forest, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import EMPTY_FOREST, Forest
 
@@ -76,24 +77,27 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
 
 def check_op_coassociativity(sig: Signature, node_bound: int) -> CheckReport:
     """Exhaustive coassociativity check on trees up to the node bound."""
-    # One-tree forests, so that an input shares its coproduct with the forest
-    # of the same code met inside the check.
-    forests = [Forest([t]) for t in up_to(partial(enumerate_by_nodes, sig), node_bound)]
-    table: dict = {}
-    return check_coassociative("operadic coassociativity", forests, partial(coproduct, table=table))
+    # Each input is numbered as its one-tree forest, which the check meets inside it too.
+    ids, trees = hopf._Ids(), up_to(partial(enumerate_by_nodes, sig), node_bound)
+    return check_coassociative("operadic coassociativity", trees, lambda t: ids.number((ids.tree(t),)), ids.delta)
 
 
 def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
     """Verify that taking cores intertwines the two coproducts."""
-    table: dict = {}
-    core_of = cache(lambda f: core_forest(f.trees))
+    ids = hopf._Ids()
+    core_of = cache(lambda n: ids.forest(core_forest(ids.obj(n).trees)))
+    hopf_side = cache(lambda n: {
+        (ids.forest(a), ids.forest(b)): c for (a, b), c in hopf.coproduct(ids.obj(n), {hopf._Ids: ids}).terms.items()
+    })
+
+    def text(terms: dict) -> str:
+        return LinComb({(ids.obj(a), ids.obj(b)): c for (a, b), c in terms.items()}).text()
 
     def law(t: PTree):
-        lhs = LinComb.sum(
-            ((core_of(crown), core_of(lower)), c) for (crown, lower), c in coproduct(t, table).terms.items()
-        )
-        rhs = hopf.coproduct(core(t), table)
-        return None if lhs == rhs else (rhs.text(), lhs.text())
+        flat = ids.tree_cuts(ids.tree(t))  # upper and lower in turn; first the forest of t over the root edge
+        lhs = Counter(zip(map(core_of, flat[::2]), map(core_of, flat[1::2])))
+        rhs = hopf_side(core_of(flat[0]))
+        return None if lhs == rhs else (text(rhs), text(lhs))
 
     trees = up_to(partial(enumerate_by_nodes, sig), node_bound)
     return check_each("core homomorphism", trees, law)

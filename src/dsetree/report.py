@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -61,38 +61,25 @@ def check_each(
 def check_coassociative(
     name: str,
     inputs: Sequence[Any],
-    coproduct: Callable[[Any], Any],
+    number: Callable[[Any], int],
+    delta: Callable[[int], Mapping[tuple[int, int], Any]],
 ) -> CheckReport:
-    """Check that ``(coproduct x Id)coproduct = (Id x coproduct)coproduct`` on every input.
+    """Check that ``(delta x Id)delta = (Id x delta)delta`` on every input.
 
-    ``coproduct`` maps an input, and every forest in its result, to a
-    linear combination of forest pairs.  It is called once per distinct
-    forest over the whole check.  Each distinct forest is numbered the first
-    time it is met, so the double sum adds up terms keyed by triples of ints.
+    ``number`` gives an input's int id, and ``delta`` maps the id of a forest
+    to the coefficients of its ``(upper id, lower id)`` pairs, so the double
+    sum adds up terms keyed by triples of ints.  ``delta`` is called once per
+    distinct id over the whole check.
     """
-    forests: list[Any] = []  # each distinct forest met, at its number
-
-    class Numbers(dict):
-        def __missing__(self, x: Any) -> int:
-            forests.append(x)
-            return self.setdefault(x, len(forests) - 1)
-
-    number = Numbers().__getitem__  # a dict lookup, unless the forest is new
-
-    @cache
-    def delta(n: int) -> list[tuple[int, int, Any]]:
-        # Integral coefficients become ints: exact, and cheaper to multiply.
-        terms = coproduct(forests[n]).terms.items()
-        return [(number(a), number(b), c.numerator if c.denominator == 1 else c) for (a, b), c in terms]
+    delta = cache(delta)
 
     def law(x: Any) -> Optional[tuple[str, str]]:
-        left: dict[tuple[int, int, int], Any] = {}
-        right: dict[tuple[int, int, int], Any] = {}
-        for a, b, c in delta(number(x)):
-            for a1, a2, c2 in delta(a):
+        left, right = {}, {}  # (a1, a2, b) and (a, b1, b2) id triples -> coefficient
+        for (a, b), c in delta(number(x)).items():
+            for (a1, a2), c2 in delta(a).items():
                 key = (a1, a2, b)
                 left[key] = left.get(key, 0) + c * c2
-            for b1, b2, c2 in delta(b):
+            for (b1, b2), c2 in delta(b).items():
                 key = (a, b1, b2)
                 right[key] = right.get(key, 0) + c * c2
         # Terms may cancel to zero; compare the nonzero parts only when the

@@ -4,8 +4,10 @@ from itertools import chain, combinations
 
 import pytest
 
+from dsetree import hopf
+from dsetree.cli import main
 from dsetree.errors import ArityMismatch
-from dsetree.hopf import coproduct, tree_cuts
+from dsetree.hopf import check_coassociativity, coproduct, tree_cuts
 from dsetree.linear import LinComb
 from dsetree.opbialg import (
     check_core_homomorphism,
@@ -136,6 +138,64 @@ def test_coassociativity_small_bounds():
     for sig in (BIN, stable_signature(4)):
         report = check_op_coassociativity(sig, 3)
         assert report.passed, report.summary()
+
+
+def drop_last_proper_cut(forest_cuts):
+    """Forest cuts without the last (upper, lower) id pair whose two forests are both nonempty."""
+
+    def mutant(self, trees):
+        pairs = forest_cuts(self, trees)
+        proper = [pair for pair in pairs if self.keys[pair[0]] and self.keys[pair[1]]]
+        if proper:
+            del pairs[proper[-1]]
+        return pairs
+
+    return mutant
+
+
+def raise_first_count(forest_cuts):
+    """Forest cuts with the count of their first id pair raised by one."""
+
+    def mutant(self, trees):
+        pairs = forest_cuts(self, trees)
+        pairs[next(iter(pairs))] += 1
+        return pairs
+
+    return mutant
+
+
+def test_coassociativity_checks_report_id_level_mutants(monkeypatch):
+    # Both coassociativity laws run on the cut table's ids without calling
+    # hopf.coproduct, so their mutants live in _Ids.forest_cuts.
+    checks = (partial(check_coassociativity, 4), partial(check_op_coassociativity, BIN, 4))
+    argv = ["check", "--law", "op-coassoc", "--signature", "binary", "--bound", "3"]
+    for mutant in (drop_last_proper_cut, raise_first_count):
+        with monkeypatch.context() as patch:
+            patch.setattr(hopf._Ids, "forest_cuts", mutant(hopf._Ids.forest_cuts))
+            for check in checks:
+                assert not check().passed, (check.func.__name__, mutant.__name__)
+            assert main(argv) == 1, mutant.__name__
+    assert all(check().passed for check in checks)
+    assert main(argv) == 0
+
+
+# Stdout of the op-coassoc check above with drop_last_proper_cut in place, as
+# the coproduct-keyed driver printed it.
+OP_COASSOC_DROP_STDOUT = "FAIL (operadic coassociativity, 9 inputs)\n" + "".join(
+    f"  counterexample: input={code} expected=(Id x D)D actual=(D x Id)D\n"
+    for code in (
+        "b(|,|)", "b(b(|,|),|)", "b(|,b(|,|))", "b(b(b(|,|),|),|)", "b(b(|,b(|,|)),|)",
+        "b(b(|,|),b(|,|))", "b(|,b(b(|,|),|))", "b(|,b(|,b(|,|)))",
+    )
+).removesuffix("\n") + " [bound <= 3]\n"
+
+
+def test_op_coassociativity_failure_prints_the_same_bytes(monkeypatch, capsys):
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(hopf._Ids, "forest_cuts", drop_last_proper_cut(hopf._Ids.forest_cuts))
+        assert main(["check", "--law", "op-coassoc", "--signature", "binary", "--bound", "3"]) == 1
+    assert capsys.readouterr().out == OP_COASSOC_DROP_STDOUT
 
 
 def test_core_homomorphism_on_displayed_example():

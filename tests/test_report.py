@@ -4,16 +4,39 @@ from functools import partial
 from itertools import chain
 
 from dsetree import hopf, opbialg
+from dsetree.cli import main
 from dsetree.hopf import antipode, check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
 from dsetree.opbialg import check_core_homomorphism
-from dsetree.ptrees import binary_signature, core_forest, enumerate_by_nodes, stable_signature
+from dsetree.ptrees import binary_signature, core, core_forest, enumerate_by_nodes, stable_signature
 from dsetree.report import check_coassociative, up_to
 from dsetree.trees import LEAF, Forest, enumerate_forests
 
 FORESTS = up_to(enumerate_forests, 4)
 BINARY_TREES = up_to(partial(enumerate_by_nodes, binary_signature()), 4)
 STABLE3_TREES = up_to(partial(enumerate_by_nodes, stable_signature(3)), 3)
+
+
+def numbered(coproduct):
+    """The ``(number, delta)`` pair that runs ``check_coassociative`` on a ``LinComb``-valued coproduct.
+
+    ``number`` gives each distinct object an int the first time it is met, and
+    ``delta(n)`` is the coproduct of object ``n`` with both factors of each term
+    replaced by their numbers.
+    """
+    objs: list = []
+    ids: dict = {}
+
+    def number(x):
+        if x not in ids:
+            ids[x] = len(objs)
+            objs.append(x)
+        return ids[x]
+
+    def delta(n):
+        return {(number(a), number(b)): c for (a, b), c in coproduct(objs[n]).terms.items()}
+
+    return number, delta
 
 
 def drop_one_cut(delta):
@@ -68,15 +91,15 @@ def test_up_to_lists_each_size_in_code_order():
 
 
 def test_coassociativity_driver_passes_true_coproducts():
-    assert check_coassociative("forests", FORESTS, coproduct).passed
-    assert check_coassociative("binary", BINARY_TREES, coproduct).passed
+    assert check_coassociative("forests", FORESTS, *numbered(coproduct)).passed
+    assert check_coassociative("binary", BINARY_TREES, *numbered(coproduct)).passed
 
 
 def test_coassociativity_mutation_detected_at_small_size():
-    forests = check_coassociative("forests", FORESTS, drop_one_cut(coproduct))
+    forests = check_coassociative("forests", FORESTS, *numbered(drop_one_cut(coproduct)))
     assert not forests.passed
     assert forests.checked == len(FORESTS)
-    binary = check_coassociative("binary", BINARY_TREES, drop_one_cut(coproduct))
+    binary = check_coassociative("binary", BINARY_TREES, *numbered(drop_one_cut(coproduct)))
     assert not binary.passed
     assert binary.checked == len(BINARY_TREES)
 
@@ -89,7 +112,7 @@ def test_coassociativity_driver_computes_each_coproduct_once():
             calls[x] += 1  # a tree and the forest of that tree are distinct keys
             return coproduct(x)
 
-        assert check_coassociative("counted", inputs, counted).passed
+        assert check_coassociative("counted", inputs, *numbered(counted)).passed
         assert set(calls.values()) == {1}
         assert calls.keys() >= set(inputs)
 
@@ -121,10 +144,41 @@ def test_core_homomorphism_check_takes_each_core_once(monkeypatch):
     assert calls.keys() == {f for t in STABLE3_TREES for cut in coproduct(t).terms for f in cut}
 
 
+def test_core_homomorphism_check_takes_one_hopf_coproduct_per_core(monkeypatch):
+    calls = Counter()
+
+    def counted(x, *args, **kwargs):
+        calls[x] += 1
+        return coproduct(x, *args, **kwargs)
+
+    monkeypatch.setattr(hopf, "coproduct", counted)
+    assert check_core_homomorphism(stable_signature(3), 3).passed
+    assert set(calls.values()) == {1}
+    assert sum(calls.values()) == len({core(t) for t in STABLE3_TREES})
+
+
+# Stdout of the binary core-hom check at bound 3 with swap_factors in place on
+# the Hopf side, as the check printed it before it ran on the cut table's ids.
+CORE_HOM_SWAP_STDOUT = (
+    "FAIL (core homomorphism, 9 inputs)\n"
+    "  counterexample: input=b(b(|,|),b(|,|))"
+    " expected=1*(()())(x)1 + 2*(())(x)() + 1*()(x)()*() + 1*1(x)(()())"
+    " actual=1*(()())(x)1 + 2*()(x)(()) + 1*()*()(x)() + 1*1(x)(()()) [bound <= 3]\n"
+)
+
+
+def test_core_homomorphism_failure_prints_the_same_bytes(monkeypatch, capsys):
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(hopf, "coproduct", swap_factors(hopf.coproduct))
+        assert main(["check", "--law", "core-hom", "--signature", "binary", "--bound", "3"]) == 1
+    assert capsys.readouterr().out == CORE_HOM_SWAP_STDOUT
+
+
 def test_coassociativity_driver_coefficients():
     for inputs in (FORESTS, STABLE3_TREES):
-        assert not check_coassociative("off by one", inputs, off_by_one(coproduct)).passed
-        third = check_coassociative("scaled", inputs, lambda x: coproduct(x).scale(Fraction(1, 3)))
+        assert not check_coassociative("off by one", inputs, *numbered(off_by_one(coproduct))).passed
+        third = check_coassociative("scaled", inputs, *numbered(lambda x: coproduct(x).scale(Fraction(1, 3))))
         assert third.passed
 
 
