@@ -7,7 +7,8 @@ antipode is the cancellation-free forest formula: a sum over every set of
 edges, signed by the number of pieces left.  All coefficients are exact
 :class:`fractions.Fraction` values.  The cut enumeration and the coproduct
 also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
-a call: callers that repeat work pass a local ``functools.cache`` or a cut table.
+a call: a law check keeps one cut table (:class:`_Ids`) and reads its laws off
+int ids, and other callers that repeat work pass a ``table``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 from typing import Optional
 
 from .errors import MalformedCode
@@ -58,6 +59,7 @@ class _Ids:
     def __init__(self):
         self.ids: dict = {}  # each key, and each tree object met -> its id
         self.keys, self.protos, self.objs, self.cuts = [], [], [], []  # per id; a forest's proto is None
+        self.pieces: dict = {}  # comb tree id -> its edge sets (see edge_cuts)
 
     def number(self, key: tuple, proto=None) -> int:
         n = self.ids.get(key)
@@ -126,6 +128,26 @@ class _Ids:
             return Counter(zip(flats[0][::2], flats[0][1::2]))
         return Counter(tuple(self.number(tuple(sorted(sum(side, ())))) for side in cut) for cut in self.choices(flats))
 
+    def edge_cuts(self, n: int) -> list[tuple[int, ...]]:
+        """Per set of edges of comb tree ``n``, the ids of the piece holding the root and then of the
+        pieces cut off, filled children first: a child edge is kept or cut, whatever is cut inside."""
+        for i in _children_first(n, self.pieces.__contains__, self.parts):
+            # Per child edge: (child root kept under the root, pieces cut off).
+            choices = [
+                [choice for cut in self.pieces[c] for choice in (((cut[0],), cut[1:]), ((), cut))]
+                for c in self.parts(i)
+            ]
+            self.pieces[i] = [
+                (self.number(("", *sorted(r for kept, _ in combo for r in kept)), self.protos[i]),
+                 *(piece for _, off in combo for piece in off))
+                for combo in iproduct(*choices)
+            ]
+        return self.pieces[n]
+
+    def text(self, terms: dict) -> str:
+        """Terms keyed by forest ids or by (upper, lower) id pairs, printed as :meth:`LinComb.text` prints them."""
+        return LinComb({self.obj(k) if type(k) is int else tuple(map(self.obj, k)): c for k, c in terms.items()}).text()
+
 
 def tree_cuts(t, table: Optional[dict] = None) -> tuple[tuple[Forest, Forest], ...]:
     """All cuts of ``t`` as (upper forest, lower forest) pairs, the cut under the root first.
@@ -168,33 +190,15 @@ def counit(x: HckElem) -> Scalar:
     return x.terms.get(EMPTY_FOREST, 0)
 
 
-def _edge_cuts(t: CombTree, table: dict) -> list[tuple[CombTree, ...]]:
-    """For each set of edges of ``t``, the piece holding the root followed by
-    the pieces cut off.  Each child edge is kept or cut, whatever is cut inside
-    the child.  ``table`` maps every tree met to its result, filled children first."""
-    for node in _children_first(t, table.__contains__):
-        # Per child edge: (child roots kept under the root, pieces cut off).
-        choices = [
-            [choice for cut in table[c] for choice in (((cut[0],), cut[1:]), ((), cut))]
-            for c in node.children
-        ]
-        table[node] = [
-            (CombTree(r for kept, _ in combo for r in kept), *(piece for _, off in combo for piece in off))
-            for combo in iproduct(*choices)
-        ]
-    return table[t]
-
-
 def antipode(x: HckElem) -> HckElem:
     """Convolution inverse of the identity: over every set of edges of each
     forest, the product of the pieces left, signed (-1) to their number."""
-    table: dict = {}
-    return HckElem.sum(
-        (pieces, coeff * (-1) ** len(pieces.trees))
-        for forest, coeff in x.terms.items()
-        for combo in iproduct(*(_edge_cuts(t, table) for t in forest.trees))
-        for pieces in [Forest([piece for cut in combo for piece in cut])]
-    )
+    ids, acc = _Ids(), Counter()
+    for forest, coeff in x.terms.items():
+        for combo in iproduct(*(ids.edge_cuts(ids.tree(t)) for t in forest.trees)):
+            pieces = sorted(piece for cut in combo for piece in cut)
+            acc[ids.number(tuple(pieces))] += coeff * (-1) ** len(pieces)
+    return HckElem({ids.obj(n): c for n, c in acc.items()})
 
 
 def bplus(x: HckElem) -> HckElem:
@@ -218,15 +222,17 @@ def parse_elem(s: str) -> HckElem:
 
 def check_cocycle(degree_bound: int) -> CheckReport:
     """Verify the 1-cocycle identity for grafting on all small forests."""
-    table: dict = {}
+    ids = _Ids()
+    empty = ids.number(())
+    planted = cache(lambda n: ids.number((ids.tree(graft(ids.obj(n))),)))  # forest id -> its graft's forest id
 
     def law(f: Forest):
-        lhs = coproduct(bplus(HckElem.from_forest(f)), table)
-        rhs = HckTensor.sum(chain(
-            (((upper, Forest([graft(lower)])), c) for (upper, lower), c in coproduct(f, table).terms.items()),
-            [((Forest([graft(f)]), EMPTY_FOREST), 1)],
-        ))
-        return None if lhs == rhs else (rhs.text(), lhs.text())
+        n = ids.forest(f)
+        rhs = Counter({(planted(n), empty): 1})
+        for (upper, lower), c in ids.delta(n).items():
+            rhs[upper, planted(lower)] += c
+        lhs = ids.delta(planted(n))
+        return None if lhs == rhs else (ids.text(rhs), ids.text(lhs))
 
     return check_each("cocycle", up_to(enumerate_forests, degree_bound), law)
 
@@ -239,15 +245,17 @@ def check_coassociativity(degree_bound: int) -> CheckReport:
 
 def check_counit(degree_bound: int) -> CheckReport:
     """Verify both counit laws on all small forests."""
-    table: dict = {}
+    ids = _Ids()
+    empty = ids.number(())
 
     def law(f: Forest):
-        delta = coproduct(f, table).terms.items()
-        left = HckElem.sum((b, c * counit(HckElem.from_forest(a))) for (a, b), c in delta)
-        right = HckElem.sum((a, c * counit(HckElem.from_forest(b))) for (a, b), c in delta)
-        expected = HckElem.from_forest(f)
+        n = ids.forest(f)
+        delta = ids.delta(n).items()  # each (upper, lower) pair once, so no two terms below share a key
+        left = Counter({lower: c for (upper, lower), c in delta if upper == empty})
+        right = Counter({upper: c for (upper, lower), c in delta if lower == empty})
+        expected = Counter({n: 1})
         if left != expected or right != expected:
-            return (expected.text(), f"left={left.text()} right={right.text()}")
+            return (ids.text(expected), f"left={ids.text(left)} right={ids.text(right)}")
         return None
 
     return check_each("counit", up_to(enumerate_forests, degree_bound), law)

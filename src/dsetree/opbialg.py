@@ -21,7 +21,7 @@ from . import hopf
 from .errors import SizeLimit
 from .hopf import coproduct, tree_cuts
 from .linear import LinComb
-from .ptrees import Operation, PTree, Signature, core_forest, enumerate_by_nodes
+from .ptrees import Operation, PTree, Signature, core, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import EMPTY_FOREST, Forest
 
@@ -85,19 +85,15 @@ def check_op_coassociativity(sig: Signature, node_bound: int) -> CheckReport:
 def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
     """Verify that taking cores intertwines the two coproducts."""
     ids = hopf._Ids()
-    core_of = cache(lambda n: ids.forest(core_forest(ids.obj(n).trees)))
-    hopf_side = cache(lambda n: {
-        (ids.forest(a), ids.forest(b)): c for (a, b), c in hopf.coproduct(ids.obj(n), {hopf._Ids: ids}).terms.items()
-    })
-
-    def text(terms: dict) -> str:
-        return LinComb({(ids.obj(a), ids.obj(b)): c for (a, b), c in terms.items()}).text()
+    tree_core = cache(lambda n: tuple(map(ids.tree, core(ids.obj(n)).trees)))  # tree id -> its core's tree ids
+    core_of = cache(lambda n: ids.number(tuple(sorted(chain.from_iterable(map(tree_core, ids.keys[n]))))))
+    hopf_side = cache(ids.delta)
 
     def law(t: PTree):
         flat = ids.tree_cuts(ids.tree(t))  # upper and lower in turn; first the forest of t over the root edge
         lhs = Counter(zip(map(core_of, flat[::2]), map(core_of, flat[1::2])))
         rhs = hopf_side(core_of(flat[0]))
-        return None if lhs == rhs else (text(rhs), text(lhs))
+        return None if lhs == rhs else (ids.text(rhs), ids.text(lhs))
 
     trees = up_to(partial(enumerate_by_nodes, sig), node_bound)
     return check_each("core homomorphism", trees, law)

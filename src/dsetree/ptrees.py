@@ -254,12 +254,7 @@ def _core_tree(t: PTree) -> CombTree:
 
 def core(t: PTree) -> Forest:
     """Combinatorial tree of inner edges: decorations and outer edges dropped."""
-    return core_forest([t])
-
-
-def core_forest(trees) -> Forest:
-    """Memberwise core of a collection of trees, as one combined forest."""
-    return Forest(_core_tree(t) for t in trees if not t.is_nil())
+    return Forest(() if t.is_nil() else (_core_tree(t),))
 
 
 def core_census(sig: Signature, k: int, by: str = "nodes") -> dict[Forest, int]:

@@ -181,6 +181,8 @@ ACCEPTANCE_COMMANDS = {
         ("e23fc7b0d19c609ade353053c85b85bb0a018cf01b5aadf15bed8324e2643af0", 0),
     ("check", "--law", "coassoc", "--degree", "4"):
         ("c72d899077f3fefe514b038da0b45f3392525e65a239fd49fab4c783f1ac72a9", 0),
+    ("check", "--law", "counit", "--degree", "4"):
+        ("8854f23f17b800b729bba4947db4087a533077e0177263e26e2aec9d8de497fc", 0),
     ("check", "--law", "antipode", "--degree", "4"):
         ("63b61047d5085dd6363b6c72dea2967e9926489b5e914497adbcc6f884dad8ed", 0),
     ("check", "--law", "cocycle", "--degree", "4"):

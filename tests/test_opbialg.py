@@ -3,6 +3,7 @@ from functools import partial
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dsetree import hopf
 from dsetree.cli import main
@@ -19,7 +20,9 @@ from dsetree.opbialg import (
 )
 from dsetree.ptrees import (
     NIL,
+    Operation,
     PTree,
+    Signature,
     binary_signature,
     core,
     enumerate_by_nodes,
@@ -261,3 +264,22 @@ def test_shared_table_changes_no_result_and_shares_each_code():
         delta = coproduct(x, table)
         assert delta == coproduct(x)
         assert all(is_shared(crown) and is_shared(lower) for crown, lower in delta.terms)
+
+
+# Names that are prefixes of one another, so that a table or key that cut a name
+# short, or joined names without a separator, would merge distinct operations.
+signatures = st.lists(
+    st.tuples(st.sampled_from(["a", "ab", "x1", "x10"]), st.integers(0, 3)),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda op: op[0],
+).map(lambda ops: Signature(tuple(Operation(name, arity) for name, arity in ops)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(signatures)
+@example(Signature((Operation("a", 0), Operation("ab", 0))))
+def test_operadic_laws_hold_over_random_signatures(sig):
+    for check in (check_op_coassociativity, check_core_homomorphism, check_faa_di_bruno):
+        report = check(sig, 3)
+        assert report.passed, report.summary()

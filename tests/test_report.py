@@ -3,14 +3,14 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 
-from dsetree import hopf, opbialg
+from dsetree import hopf, opbialg, ptrees
 from dsetree.cli import main
 from dsetree.hopf import antipode, check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
 from dsetree.opbialg import check_core_homomorphism
-from dsetree.ptrees import binary_signature, core, core_forest, enumerate_by_nodes, stable_signature
+from dsetree.ptrees import binary_signature, core, enumerate_by_nodes, stable_signature
 from dsetree.report import check_coassociative, up_to
-from dsetree.trees import LEAF, Forest, enumerate_forests
+from dsetree.trees import LEAF, CombTree, Forest, enumerate_forests, parse_forest
 
 FORESTS = up_to(enumerate_forests, 4)
 BINARY_TREES = up_to(partial(enumerate_by_nodes, binary_signature()), 4)
@@ -72,15 +72,35 @@ def swap_factors(delta):
     return mutant
 
 
-# Each law check with the coproduct mutants it must report.  A law blind to a
-# mutant is not paired with it: the counit laws ignore the cuts with both
-# factors nonempty, and in a commutative algebra the counit and antipode laws
-# also hold for the coproduct with its factors swapped.
+def at_ids(mutant):
+    """``mutant`` of the coproduct moved to ``_Ids.forest_cuts``: each forest's (upper, lower)
+    id pairs change as the coproduct of that forest would under ``mutant``."""
+
+    def lift(forest_cuts):
+        def patched(self, trees):
+            pairs = forest_cuts(self, trees)
+            objects = LinComb({(self.obj(u), self.obj(l)): c for (u, l), c in pairs.items()})
+            terms = mutant(lambda _: objects)(trees).terms
+            return Counter({(self.forest(u), self.forest(l)): int(c) for (u, l), c in terms.items()})
+
+        return patched
+
+    lift.__name__ = f"at_ids({mutant.__name__})"
+    return lift
+
+
+# Each law check, the function its coproduct mutants replace, and the mutants it
+# must report.  The counit, cocycle and core-homomorphism laws read the cut
+# table's ids and never call hopf.coproduct, so their mutants live in
+# _Ids.forest_cuts.  A law blind to a mutant is not paired with it: the counit
+# laws ignore the cuts with both factors nonempty, and in a commutative algebra
+# the counit and antipode laws also hold for the coproduct with its factors swapped.
+ALL_AT_IDS = tuple(map(at_ids, (drop_one_cut, off_by_one, swap_factors)))
 LAW_CHECKS = (
-    (partial(check_counit, 4), (off_by_one,)),
-    (partial(check_antipode, 4), (drop_one_cut, off_by_one)),
-    (partial(check_cocycle, 4), (drop_one_cut, off_by_one, swap_factors)),
-    (partial(check_core_homomorphism, binary_signature(), 4), (drop_one_cut, off_by_one, swap_factors)),
+    (partial(check_counit, 4), hopf._Ids, "forest_cuts", (at_ids(off_by_one),)),
+    (partial(check_antipode, 4), hopf, "coproduct", (drop_one_cut, off_by_one)),
+    (partial(check_cocycle, 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
+    (partial(check_core_homomorphism, binary_signature(), 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
 )
 
 
@@ -134,31 +154,54 @@ def test_antipode_check_computes_each_antipode_once(monkeypatch):
 def test_core_homomorphism_check_takes_each_core_once(monkeypatch):
     calls = Counter()
 
-    def counted(trees):
-        calls[Forest(trees)] += 1
-        return core_forest(trees)
+    def counted(t):
+        calls[t] += 1
+        return core(t)
 
-    monkeypatch.setattr(opbialg, "core_forest", counted)
+    monkeypatch.setattr(opbialg, "core", counted)
     assert check_core_homomorphism(stable_signature(3), 3).passed
     assert set(calls.values()) == {1}
-    assert calls.keys() == {f for t in STABLE3_TREES for cut in coproduct(t).terms for f in cut}
+    assert calls.keys() == {tree for t in STABLE3_TREES for cut in coproduct(t).terms for f in cut for tree in f}
 
 
 def test_core_homomorphism_check_takes_one_hopf_coproduct_per_core(monkeypatch):
     calls = Counter()
+    delta = hopf._Ids.delta
 
-    def counted(x, *args, **kwargs):
-        calls[x] += 1
-        return coproduct(x, *args, **kwargs)
+    def counted(self, n):
+        calls[self.obj(n)] += 1
+        return delta(self, n)
 
-    monkeypatch.setattr(hopf, "coproduct", counted)
+    monkeypatch.setattr(hopf._Ids, "delta", counted)
     assert check_core_homomorphism(stable_signature(3), 3).passed
     assert set(calls.values()) == {1}
-    assert sum(calls.values()) == len({core(t) for t in STABLE3_TREES})
+    assert calls.keys() == {core(t) for t in STABLE3_TREES}
+
+
+def drop_a_leaf_under_the_root(core_tree):
+    """The core of a tree with one leaf child of its root removed, where it has one."""
+
+    def mutant(t):
+        kids = list(core_tree(t).children)
+        if LEAF in kids:
+            kids.remove(LEAF)
+        return CombTree(kids)
+
+    return mutant
+
+
+def test_core_homomorphism_check_reports_a_wrong_core(monkeypatch):
+    checks = [partial(check_core_homomorphism, sig, 3) for sig in (binary_signature(), stable_signature(3))]
+    with monkeypatch.context() as patch:
+        patch.setattr(ptrees, "_core_tree", drop_a_leaf_under_the_root(ptrees._core_tree))
+        for check in checks:
+            assert not check().passed, check.args[0]
+    assert all(check().passed for check in checks)
 
 
 # Stdout of the binary core-hom check at bound 3 with swap_factors in place on
-# the Hopf side, as the check printed it before it ran on the cut table's ids.
+# the Hopf side, as the check printed it before it ran on the cut table's ids
+# (the mutant was then applied to hopf.coproduct).
 CORE_HOM_SWAP_STDOUT = (
     "FAIL (core homomorphism, 9 inputs)\n"
     "  counterexample: input=b(b(|,|),b(|,|))"
@@ -170,7 +213,7 @@ CORE_HOM_SWAP_STDOUT = (
 def test_core_homomorphism_failure_prints_the_same_bytes(monkeypatch, capsys):
     capsys.readouterr()
     with monkeypatch.context() as patch:
-        patch.setattr(hopf, "coproduct", swap_factors(hopf.coproduct))
+        patch.setattr(hopf._Ids, "forest_cuts", at_ids(swap_factors)(hopf._Ids.forest_cuts))
         assert main(["check", "--law", "core-hom", "--signature", "binary", "--bound", "3"]) == 1
     assert capsys.readouterr().out == CORE_HOM_SWAP_STDOUT
 
@@ -184,13 +227,72 @@ def test_coassociativity_driver_coefficients():
 
 def test_law_checks_report_coproduct_mutants(monkeypatch):
     # The core-homomorphism check meets the mutant only on its Hopf side;
-    # the operadic coproduct is bound in opbialg and stays true.
-    for check, mutants in LAW_CHECKS:
+    # its operadic side reads _Ids.tree_cuts and stays true.
+    for check, owner, name, mutants in LAW_CHECKS:
         assert check().passed, check.func.__name__
         for mutant in mutants:
             with monkeypatch.context() as patch:
-                patch.setattr(hopf, "coproduct", mutant(hopf.coproduct))
+                patch.setattr(owner, name, mutant(getattr(owner, name)))
                 assert not check().passed, (check.func.__name__, mutant.__name__)
+
+
+# Stdout of two failing law checks, recorded while the checks still called
+# hopf.coproduct, with the same mutant applied to hopf.coproduct.
+COUNIT_OFF_BY_ONE_STDOUT = "FAIL (counit, 8 inputs)\n" + "\n".join(
+    f"  counterexample: input={code} expected=1*{code} actual=left={left}*{code} right=2*{code}"
+    for code, left in (("1", 2), ("()", 1), ("(())", 1), ("((()))", 1), ("(()())", 1))
+) + " [degree <= 3]\n"
+COCYCLE_DROP_ONE_CUT_STDOUT = (
+    "FAIL (cocycle, 8 inputs)\n"
+    "  counterexample: input=() expected=1*(())(x)1 + 1*()(x)() + 1*1(x)(()) actual=1*(())(x)1 + 1*1(x)(())\n"
+    "  counterexample: input=()*() expected=1*(()())(x)1 + 1*()*()(x)() + 1*1(x)(()())"
+    " actual=1*(()())(x)1 + 2*()(x)(()) + 1*1(x)(()())\n"
+    "  counterexample: input=()*()*() expected=1*(()()())(x)1 + 3*()(x)(()()) + 1*()*()*()(x)() + 1*1(x)(()()())"
+    " actual=1*(()()())(x)1 + 3*()(x)(()()) + 3*()*()(x)(()) + 1*1(x)(()()()) [degree <= 3]\n"
+)
+
+
+def test_counit_and_cocycle_failures_print_the_same_bytes(monkeypatch, capsys):
+    for law, mutant, stdout in (
+        ("counit", off_by_one, COUNIT_OFF_BY_ONE_STDOUT),
+        ("cocycle", drop_one_cut, COCYCLE_DROP_ONE_CUT_STDOUT),
+    ):
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(hopf._Ids, "forest_cuts", at_ids(mutant)(hopf._Ids.forest_cuts))
+            assert main(["check", "--law", law, "--degree", "3"]) == 1
+        assert capsys.readouterr().out == stdout, law
+
+
+def constructions(monkeypatch, *classes) -> Counter:
+    """How often each of ``classes`` is constructed from now on."""
+    built = Counter()
+    for cls in classes:
+
+        def counted(self, *args, cls=cls, init=cls.__init__):
+            built[cls] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_counit_and_cocycle_checks_build_objects_once_per_forest(monkeypatch):
+    forests = up_to(enumerate_forests, 6)
+    built = constructions(monkeypatch, Forest, CombTree)
+    assert check_counit(6).passed
+    assert built == {}
+    assert check_cocycle(6).passed
+    assert built[Forest] <= len(forests) and built[CombTree] <= len(forests)
+
+
+def test_antipode_builds_each_output_forest_once(monkeypatch):
+    for code, terms in (("(()()())", 4), ("((()())())*(()())", 21)):
+        x = LinComb.from_forest(parse_forest(code))
+        with monkeypatch.context() as patch:
+            built = constructions(patch, Forest)
+            assert len(antipode(x).terms) == terms
+        assert built[Forest] == terms, code
 
 
 def omit_the_sign(antipode):
