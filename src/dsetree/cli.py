@@ -90,8 +90,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "structured":
         print(json.dumps({"count": len(codes), "trees": codes}, indent=2))
     else:
-        for code in codes:
-            print(code)
+        sys.stdout.writelines(f"{code}\n" for code in codes)
         print(f"total: {len(codes)}")
     return 0
 
@@ -193,12 +192,9 @@ def _cmd_fold_demo(args: argparse.Namespace) -> int:
 
 
 def _check_enum_bounds(args: argparse.Namespace) -> None:
-    if args.by == "leaves":
-        if not 0 <= args.n <= MAX_LEAF_BOUND:
-            raise SystemExit(_usage_error(f"--n must lie in 0..{MAX_LEAF_BOUND} for leaves"))
-    else:
-        if not 0 <= args.n <= MAX_NODE_BOUND:
-            raise SystemExit(_usage_error(f"--n must lie in 0..{MAX_NODE_BOUND} for nodes"))
+    bound = MAX_LEAF_BOUND if args.by == "leaves" else MAX_NODE_BOUND
+    if not 0 <= args.n <= bound:
+        raise SystemExit(_usage_error(f"--n must lie in 0..{bound} for {args.by}"))
 
 
 def _usage_error(message: str) -> int:

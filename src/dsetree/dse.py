@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import comb
 from typing import Sequence
 
 from .errors import InvalidSpec, Nonfinite, OrderExceeded
@@ -72,36 +73,40 @@ def series_coefficient(s: Series, k: int) -> HckElem:
 
 def series_power(s: Series, m: int, j: int) -> HckElem:
     """Degree-``j`` coefficient of the ``m``-th power of ``s``."""
-    if not 0 <= j <= s.order:
-        raise OrderExceeded(f"coefficient {j} beyond truncation order {s.order}")
+    series_coefficient(s, j)  # OrderExceeded past the truncation order
     return _power_coefficient(s.coeffs, m, j)
 
 
-def _power_coefficient(coeffs: Sequence[HckElem], m: int, j: int) -> HckElem:
-    # Square and multiply on the series truncated at degree j: O(log m)
-    # truncated products, whatever c_0 is.
-    def times(x: Sequence[HckElem], y: Sequence[HckElem]) -> list[HckElem]:
-        return [
-            HckElem.sum(
-                term
-                for a in range(i + 1)
-                if not x[a].is_zero() and not y[i - a].is_zero()
-                for term in product(x[a], y[i - a]).terms.items()
-            )
-            for i in range(j + 1)
-        ]
-
-    result, base = [HckElem.one()] + [HckElem.zero()] * j, coeffs[: j + 1]
-    while m:
-        if m & 1:
-            result = times(result, base)
-        m >>= 1
-        if m:
-            base = times(base, base)
-    return result[j]
+def _power_coefficient(coeffs: Sequence[HckElem], m: int, j: int, memo: dict | None = None) -> HckElem:
+    # The binomial theorem with X = c_0 + Y: [X^m]_j = sum_{i <= min(m, j)} C(m, i) c_0^(m-i) [Y^i]_j,
+    # whose work does not grow with m; [Y^i]_j needs only c_1..c_j, so one memo serves a whole solve.
+    memo = {} if memo is None else memo
+    return HckElem.sum(
+        (forest, comb(m, i) * c)
+        for i in range(min(m, j) + 1)
+        for forest, c in _times_power(coeffs[0], m - i, _y_power(coeffs, i, j, memo)).terms.items()
+    )
 
 
-def _rhs(spec: DSESpec, coeffs: Sequence[HckElem], k: int) -> HckElem:
+def _y_power(coeffs: Sequence[HckElem], i: int, j: int, memo: dict) -> HckElem:
+    """[Y^i]_j = sum_l c_l [Y^(i-1)]_(j-l); l stops at j - i + 1, as [Y^(i-1)] starts at degree i - 1."""
+    if i == 0:
+        return HckElem.one() if j == 0 else HckElem.zero()
+    if (i, j) not in memo:
+        memo[i, j] = HckElem.sum(chain.from_iterable(
+            product(coeffs[l], _y_power(coeffs, i - 1, j - l, memo)).terms.items() for l in range(1, j - i + 2)
+        ))
+    return memo[i, j]
+
+
+def _times_power(x: HckElem, n: int, y: HckElem) -> HckElem:
+    """``x`` to the ``n`` times ``y``, squaring ``x``: O(log n) products, none when ``x`` is the unit."""
+    if n == 0 or x == HckElem.one():
+        return y
+    return _times_power(product(x, x), n // 2, product(x, y) if n % 2 else y)
+
+
+def _rhs(spec: DSESpec, coeffs: Sequence[HckElem], k: int, memo: dict) -> HckElem:
     """alpha^k coefficient of the equation's right-hand side.
 
     ``coeffs`` holds at least the coefficients c_0..c_{k-1} of ``X``.
@@ -112,7 +117,7 @@ def _rhs(spec: DSESpec, coeffs: Sequence[HckElem], k: int) -> HckElem:
             (forest, term.coeff * c)
             for term in spec.terms
             if k >= term.alpha_power
-            for forest, c in bplus(_power_coefficient(coeffs, term.x_power, k - term.alpha_power)).terms.items()
+            for forest, c in bplus(_power_coefficient(coeffs, term.x_power, k - term.alpha_power, memo)).terms.items()
         ),
     ))
 
@@ -121,14 +126,16 @@ def solve(spec: DSESpec) -> Series:
     """Unique order-by-order solution of the fixpoint equation."""
     # Every alpha_power is at least 1, so c_k depends only on c_0..c_{k-1}.
     coeffs: list[HckElem] = []
+    memo: dict = {}
     for k in range(spec.order + 1):
-        coeffs.append(_rhs(spec, coeffs, k))
+        coeffs.append(_rhs(spec, coeffs, k, memo))
     return Series(tuple(coeffs))
 
 
 def residual(spec: DSESpec, s: Series) -> list[HckElem]:
     """Per-order difference between ``s`` and the equation's right-hand side."""
-    return [s.coeffs[k] - _rhs(spec, s.coeffs, k) for k in range(s.order + 1)]
+    memo: dict = {}
+    return [s.coeffs[k] - _rhs(spec, s.coeffs, k, memo) for k in range(s.order + 1)]
 
 
 def linear_spec(order: int) -> DSESpec:
@@ -203,10 +210,7 @@ def series_to_dict(spec: DSESpec, s: Series) -> dict:
         "spec": spec.name or "custom",
         "order": s.order,
         "coefficients": [
-            {
-                "k": k,
-                "terms": [{"coeff": str(coeff), "forest": code} for code, coeff in c.rows()],
-            }
+            {"k": k, "terms": [{"coeff": str(coeff), "forest": code} for code, coeff in c.rows()]}
             for k, c in enumerate(s.coeffs)
         ],
     }

@@ -1,12 +1,15 @@
 import json
+import math
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from dsetree import dse
 from dsetree.dse import (
     DSESpec,
+    Series,
     DSETerm,
     _power_coefficient,
     geometric_spec,
@@ -23,7 +26,7 @@ from dsetree.dse import (
 from dsetree.errors import InvalidSpec, Nonfinite, OrderExceeded
 from dsetree.hopf import HckElem, coproduct, parse_elem, product
 from dsetree.linear import LinComb
-from dsetree.ptrees import Operation, Signature, core_census
+from dsetree.ptrees import Operation, Signature, core_census, list_signature, stable_signature
 
 
 def catalan(n):
@@ -108,6 +111,88 @@ def test_series_power_by_hand_convolution():
         expected = expected + product(c[i], c[2 - i])
     assert series_power(series, 2, 2) == expected
     assert expected == parse_elem("4*(()) + 1*()*()")
+
+
+def naive_power(coeffs, m, j):
+    """[X^m]_j by m-fold convolution of the series truncated at degree j."""
+    power = [HckElem.one()] + [HckElem.zero()] * j
+    for _ in range(m):
+        power = [sum((product(power[a], coeffs[d - a]) for a in range(d + 1)), HckElem.zero()) for d in range(j + 1)]
+    return power[j]
+
+
+def test_series_power_with_a_non_unit_constant_term():
+    # solve always has c_0 = 1; any other c_0 takes the c_0^(m-i) factor of the binomial sum.
+    series = Series(tuple(map(parse_elem, ["2*1 + 1*()", "1/3*(()) + 1*()*()", "0", "-1*((()))"])))
+    for m in range(6):
+        for j in range(4):
+            assert series_power(series, m, j) == naive_power(series.coeffs, m, j), (m, j)
+
+
+def test_solve_work_is_bounded_by_one_memo(monkeypatch):
+    # At order 10 the memo holds at most the 55 entries [Y^i]_j, 1 <= i <= j <= 10, and
+    # [Y^i]_j takes j - i + 1 products: at most sum_{d <= 10} d(d+1)/2 = 220 in all.
+    calls, memos = [], []
+    original_product, original_power = LinComb.product, dse._power_coefficient
+
+    def counted_product(x, y):
+        calls.append(None)
+        return original_product(x, y)
+
+    def recorded_power(coeffs, m, j, memo=None):
+        memos.append(memo)
+        return original_power(coeffs, m, j, memo)
+
+    monkeypatch.setattr(LinComb, "product", counted_product)
+    monkeypatch.setattr(dse, "_power_coefficient", recorded_power)
+    solve(geometric_spec(10))
+    assert len(calls) <= 220
+    assert len({id(memo) for memo in memos}) == 1
+    assert len(memos[0]) <= 55
+
+
+def y_power_without_last_l(coeffs, i, j, memo):
+    # Mutant of dse._y_power: the sum over l stops one short.
+    if i == 0:
+        return HckElem.one() if j == 0 else HckElem.zero()
+    if (i, j) not in memo:
+        memo[i, j] = HckElem.sum(
+            term
+            for l in range(1, j - i + 1)
+            for term in product(coeffs[l], dse._y_power(coeffs, i - 1, j - l, memo)).terms.items()
+        )
+    return memo[i, j]
+
+
+def independent_checks():
+    """Which checks that do not call _power_coefficient themselves pass."""
+    quadratic, geometric = solve(quadratic_spec(6)).coeffs, solve(geometric_spec(6)).coeffs
+    stable, lists = stable_signature(3), list_signature(2)
+    return {
+        "quadratic table": quadratic[3].text() == "4*((())) + 1*(()())",
+        "geometric table": geometric[3].text() == "4*((())) + 1*(()()) + 5*(()) + 1*()",
+        "catalan sums": [coeff_sum(c) for c in quadratic] == [catalan(k) for k in range(7)],
+        "schroder sums": [coeff_sum(c) for c in geometric] == [schroder(k) for k in range(7)],
+        "stable:3 census": core_census(stable, 4, by="nodes") == equation_census(stable, "nodes", 4),
+        "list:2 census": core_census(lists, 4, by="nodes") == equation_census(lists, "nodes", 4),
+    }
+
+
+RECURRENCE_MUTANTS = {
+    "binomial C(m + 1, i)": ("comb", lambda m, i: math.comb(m + 1, i)),
+    "[Y^i]_j without its last l": ("_y_power", y_power_without_last_l),
+}
+
+
+def test_recurrence_mutants_are_killed_by_independent_checks(monkeypatch):
+    assert all(independent_checks().values())
+    for label, (name, mutant) in RECURRENCE_MUTANTS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(dse, name, mutant)
+            assert not any(independent_checks().values()), label
+            # residual takes its powers by the same recurrence, so it is blind to the mutant.
+            spec = quadratic_spec(4)
+            assert all(r.is_zero() for r in residual(spec, solve(spec))), label
 
 
 def test_huge_x_power_takes_logarithmic_work():
