@@ -15,7 +15,6 @@ from . import dse, hopf, opbialg, ptrees, trees, wtypes
 from .errors import DsetreeError, SizeLimit
 
 MAX_NODE_BOUND = 8
-MAX_LEAF_BOUND = 10
 _FAMILIES = {"list": ptrees.list_signature, "stable": ptrees.stable_signature}
 
 
@@ -50,8 +49,7 @@ def _load_spec(name: str, order: int) -> dse.DSESpec:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if not 0 <= args.order <= dse.MAX_ORDER:
-        raise SystemExit(_usage_error(f"--order must lie in 0..{dse.MAX_ORDER}"))
+    _check_range("--order", args.order, dse.MAX_ORDER)
     spec = _load_spec(args.spec, args.order)
     series = dse.solve(spec)
     try:
@@ -75,8 +73,8 @@ def _signature_for_enumeration(args: argparse.Namespace) -> ptrees.Signature:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_enum_bounds(args)
-    if args.node_bound is not None and not 0 <= args.node_bound <= MAX_NODE_BOUND:
-        raise SystemExit(_usage_error(f"--node-bound must lie in 0..{MAX_NODE_BOUND}"))
+    if args.node_bound is not None:
+        _check_range("--node-bound", args.node_bound, MAX_NODE_BOUND)
     if args.signature == "comb":
         if args.by != "nodes":
             raise SystemExit(_usage_error("combinatorial trees are enumerated by nodes"))
@@ -109,14 +107,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_green(args: argparse.Namespace) -> int:
-    if not 0 <= args.bound <= MAX_NODE_BOUND:
-        raise SystemExit(_usage_error(f"--bound must lie in 0..{MAX_NODE_BOUND}"))
-    sig = _load_signature(args.signature)
-    by_leaves: dict[int, list[str]] = {}
-    for k in range(args.bound + 1):
-        for code in ptrees.enumerate_by_nodes(sig, k, build=ptrees._code):
-            by_leaves.setdefault(code.count("|"), []).append(code)
-    payload = {f"g_{n}": sorted(by_leaves[n]) for n in sorted(by_leaves)}
+    _check_range("--bound", args.bound, MAX_NODE_BOUND)
+    graded = ptrees.by_leaves(_load_signature(args.signature), args.bound, build=ptrees._code)
+    payload = {f"g_{n}": codes for n, codes in graded.items()}
     if args.format == "structured":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -145,13 +138,11 @@ _TREE_LAWS = {
 def _cmd_check(args: argparse.Namespace) -> int:
     law = args.law
     if law in _HOPF_LAWS:
-        if not 0 <= args.degree <= MAX_NODE_BOUND:
-            raise SystemExit(_usage_error(f"--degree must lie in 0..{MAX_NODE_BOUND}"))
+        _check_range("--degree", args.degree, MAX_NODE_BOUND)
         report = _HOPF_LAWS[law](args.degree)
         print(report.summary() + f" [degree <= {args.degree}]")
         return 0 if report.passed else 1
-    if not 0 <= args.bound <= MAX_NODE_BOUND:
-        raise SystemExit(_usage_error(f"--bound must lie in 0..{MAX_NODE_BOUND}"))
+    _check_range("--bound", args.bound, MAX_NODE_BOUND)
     sig = _load_signature(args.signature)
     if law == "op-cocycle":
         witness = opbialg.cocycle_counterexample(sig, node_bound=args.bound)
@@ -171,8 +162,7 @@ def _code_algebra(sig: ptrees.Signature) -> wtypes.FoldAlgebra:
 
 
 def _cmd_fold_demo(args: argparse.Namespace) -> int:
-    if not 0 <= args.n <= MAX_NODE_BOUND:
-        raise SystemExit(_usage_error(f"--n must lie in 0..{MAX_NODE_BOUND}"))
+    _check_range("--n", args.n, MAX_NODE_BOUND)
     if args.demo == "nat":
         sig = ptrees.identity_signature()
         alg = wtypes.FoldAlgebra(nil_value=0, interp={"s": lambda v: v + 1})
@@ -192,9 +182,12 @@ def _cmd_fold_demo(args: argparse.Namespace) -> int:
 
 
 def _check_enum_bounds(args: argparse.Namespace) -> None:
-    bound = MAX_LEAF_BOUND if args.by == "leaves" else MAX_NODE_BOUND
-    if not 0 <= args.n <= bound:
-        raise SystemExit(_usage_error(f"--n must lie in 0..{bound} for {args.by}"))
+    _check_range("--n", args.n, ptrees.MAX_LEAVES if args.by == "leaves" else MAX_NODE_BOUND, f" for {args.by}")
+
+
+def _check_range(flag: str, value: int, bound: int, suffix: str = "") -> None:
+    if not 0 <= value <= bound:
+        raise SystemExit(_usage_error(f"{flag} must lie in 0..{bound}{suffix}"))
 
 
 def _usage_error(message: str) -> int:

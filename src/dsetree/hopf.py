@@ -23,7 +23,7 @@ from .errors import MalformedCode
 from .linear import LinComb, Scalar, parse_scalar
 from .ptrees import NIL, PTree
 from .report import CheckReport, check_coassociative, check_each, up_to
-from .trees import EMPTY_FOREST, CombTree, Forest, enumerate_forests, graft, parse_forest
+from .trees import EMPTY_FOREST, CombTree, Forest, _children_first, enumerate_forests, graft, parse_forest
 
 # Elements and tensors of the Hopf algebra are both linear combinations.
 HckElem = LinComb
@@ -33,18 +33,6 @@ HckTensor = LinComb
 def product(x: HckElem, y: HckElem) -> HckElem:
     """Bilinear extension of multiset union of forests."""
     return x.product(y)
-
-
-def _children_first(root, done, children=lambda node: node.children) -> dict:
-    """``root`` and what lies below it that is not ``done`` yet, each once and after
-    its children: the reversed pre-order of an explicit stack, so no call recurses."""
-    found, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        if not done(node):
-            found.append(node)
-            stack.extend(children(node))
-    return dict.fromkeys(reversed(found))
 
 
 class _Ids:

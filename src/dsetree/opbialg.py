@@ -21,7 +21,7 @@ from . import hopf
 from .errors import SizeLimit
 from .hopf import coproduct, tree_cuts
 from .linear import LinComb
-from .ptrees import Operation, PTree, Signature, core, enumerate_by_nodes
+from .ptrees import Operation, PTree, Signature, by_leaves, core, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import EMPTY_FOREST, Forest
 
@@ -99,37 +99,22 @@ def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
     return check_each("core homomorphism", trees, law)
 
 
-@dataclass(frozen=True)
-class GreenSeries:
-    """All trees up to a node bound, each with coefficient 1, graded by leaf count."""
-
-    trees: tuple[PTree, ...]
-
-    def leaf_component(self, n: int) -> LinComb:
-        return LinComb({Forest([t]): 1 for t in self.trees if t.leaf_count == n})
-
-    def total(self) -> LinComb:
-        return LinComb({Forest([t]): 1 for t in self.trees})
-
-    def max_leaves(self) -> int:
-        return max((t.leaf_count for t in self.trees), default=0)
-
-
-def green(sig: Signature, node_bound: int) -> GreenSeries:
-    """Sum of all trees up to the node bound; planar trees are rigid, so
-    every automorphism weight is 1."""
+def green(sig: Signature, node_bound: int) -> dict[int, list[PTree]]:
+    """Sum of all trees up to the node bound, graded by leaf count (:func:`by_leaves`);
+    planar trees are rigid, so every automorphism weight is 1."""
     if node_bound < 0:
         raise SizeLimit("node bound must be nonnegative")
-    return GreenSeries(tuple(up_to(partial(enumerate_by_nodes, sig), node_bound)))
+    return by_leaves(sig, node_bound)
 
 
 def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
     """Compare the coproduct of the Green function with the leaf-graded
     expansion, restricted (exactly) to tensor terms of total node count up to
     the bound."""
-    series = green(sig, node_bound)
+    graded = green(sig, node_bound)
+    trees = [t for group in graded.values() for t in group]
     table: dict = {}
-    lhs = LinComb.sum(pair for t in series.trees for pair in coproduct(t, table).terms.items())
+    lhs = LinComb.sum(pair for t in trees for pair in coproduct(t, table).terms.items())
 
     def bounded(x: LinComb, y: LinComb) -> list:
         """Term pairs ``(f, c, g, d)`` of ``x`` and ``y`` with degrees summing to at most
@@ -143,15 +128,16 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
             if size <= room
         ]
 
-    total = series.total()
+    total = LinComb({Forest([t]): 1 for t in trees})
     pairs = []
     power = LinComb.one()
-    for n in range(series.max_leaves() + 1):
-        pairs.extend(((f, g), c * d) for f, c, g, d in bounded(power, series.leaf_component(n)))
+    for n in range(max(graded, default=0) + 1):
+        component = LinComb({Forest([t]): 1 for t in graded.get(n, ())})
+        pairs.extend(((f, g), c * d) for f, c, g, d in bounded(power, component))
         power = LinComb.sum((f.union(g), c * d) for f, c, g, d in bounded(power, total))
     rhs = LinComb.sum(pairs)
 
     if lhs == rhs:
-        return CheckReport("Faa di Bruno", True, len(series.trees))
+        return CheckReport("Faa di Bruno", True, len(trees))
     bad = tuple((code, "0", str(c)) for code, c in (lhs - rhs).rows()[:5])
-    return CheckReport("Faa di Bruno", False, len(series.trees), bad)
+    return CheckReport("Faa di Bruno", False, len(trees), bad)

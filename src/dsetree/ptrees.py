@@ -8,13 +8,14 @@ decorations and outer edges, landing in combinatorial forests.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations, product as iproduct
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
+from .report import up_to
 from .trees import MAX_DEPTH, MAX_ENUM_NODES, Canonical, CombTree, Forest
 
 MAX_LEAVES = 10
@@ -63,22 +64,22 @@ class Signature:
         return any(op.arity <= 1 for op in self.ops)
 
 
+def _code(op: Optional[Operation], kids: Iterable[str]) -> str:
+    """The code of the node ``op`` over children with codes ``kids``: the bare edge is ``"|"``."""
+    return "|" if op is None else op.name + "(" + ",".join(kids) + ")"
+
+
 class PTree(Canonical):
     """A decorated operadic tree: the bare edge, or a node over subtrees."""
 
     __slots__ = ("op", "children")
 
     def __init__(self, op: Optional[Operation] = None, children: tuple["PTree", ...] = ()):
-        if op is None:
-            if children:
-                raise ArityMismatch("the bare edge has no children")
-            self.code = "|"
-        else:
-            if len(children) != op.arity:
-                raise ArityMismatch(
-                    f"operation {op.name} has arity {op.arity}, got {len(children)} children"
-                )
-            self.code = op.name + "(" + ",".join(c.code for c in children) + ")"
+        if op is None and children:
+            raise ArityMismatch("the bare edge has no children")
+        if op is not None and len(children) != op.arity:
+            raise ArityMismatch(f"operation {op.name} has arity {op.arity}, got {len(children)} children")
+        self.code = _code(op, [c.code for c in children])
         self.op = op
         self.children = tuple(children)
 
@@ -170,11 +171,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
-def _code(op: Optional[Operation], kids: tuple[str, ...]) -> str:
-    """The code :class:`PTree` would give the node ``op`` over children with codes ``kids``."""
-    return "|" if op is None else op.name + "(" + ",".join(kids) + ")"
-
-
 @lru_cache(maxsize=GRADED_CACHE_SIZE)
 def _graded(sig: Signature, by: str, k: int, build: Callable) -> tuple:
     """Trees of size ``k`` in code order, made by ``build``: :class:`PTree` or :func:`_code`,
@@ -201,9 +197,10 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
                         build: Callable = PTree) -> list:
     """All trees over ``sig`` with exactly ``n`` leaves, in code order, made by ``build``.
 
+    Only trees of at most ``node_bound`` nodes are listed, when it is given;
+    it lies in ``0..MAX_ENUM_NODES`` like the node count of :func:`enumerate_by_nodes`.
     Signatures with nullary or unary operations have infinitely many trees
-    per leaf count, so they require an explicit ``node_bound``, which lies in
-    ``0..MAX_ENUM_NODES`` like the node count of :func:`enumerate_by_nodes`.
+    per leaf count, so they require it.
     """
     if n < 0:
         raise ValueError("leaf count must be nonnegative")
@@ -214,12 +211,22 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
             raise ValueError("node bound must be nonnegative")
         if node_bound > MAX_ENUM_NODES:
             raise SizeLimit(f"node enumeration capped at {MAX_ENUM_NODES}, got node bound {node_bound}")
-    if sig.has_small_arities():
-        if node_bound is None:
-            raise Nonfinite(SMALL_ARITIES_BY_LEAVES)
-        trees = (t for k in range(node_bound + 1) for t in _graded(sig, "nodes", k, build))
-        return sorted(t for t in trees if getattr(t, "code", t).count("|") == n)
-    return list(_graded(sig, "leaves", n - 1, build))
+    if not sig.has_small_arities():
+        # The leaf grading is finite here, and smaller than the node grading up to the bound.
+        trees = _graded(sig, "leaves", n - 1, build)
+        return [t for t in trees if node_bound is None or getattr(t, "code", t).count("(") <= node_bound]
+    if node_bound is None:
+        raise Nonfinite(SMALL_ARITIES_BY_LEAVES)
+    return by_leaves(sig, node_bound, build).get(n, [])
+
+
+def by_leaves(sig: Signature, node_bound: int, build: Callable = PTree) -> dict[int, list]:
+    """Every tree over ``sig`` with at most ``node_bound`` nodes, made by ``build`` and
+    grouped by leaf count: the counts ascending, each group in code order."""
+    groups = defaultdict(list)
+    for t in up_to(partial(enumerate_by_nodes, sig, build=build), node_bound):
+        groups[getattr(t, "code", t).count("|")].append(t)
+    return {n: sorted(groups[n]) for n in sorted(groups)}
 
 
 def kleene_layer(sig: Signature, k: int) -> set[PTree]:

@@ -33,10 +33,11 @@ class CheckReport:
 
 
 def up_to(enumerate_exact: Callable[[int], Iterable[Any]], bound: int) -> list[Any]:
-    """Every object of size ``0..bound``, size by size, each size in code order."""
+    """Every object of size ``0..bound``, size by size, each size in code order: the
+    objects are :class:`~dsetree.trees.Canonical` values, which sort by code, or codes."""
     out: list[Any] = []
     for n in range(bound + 1):
-        out.extend(sorted(enumerate_exact(n), key=lambda x: x.code))
+        out.extend(sorted(enumerate_exact(n)))
     return out
 
 

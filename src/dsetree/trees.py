@@ -145,6 +145,18 @@ def aut_order(t: CombTree) -> int:
     return order
 
 
+def _children_first(root, done, children=lambda node: node.children) -> dict:
+    """``root`` and what lies below it that is not ``done`` yet, each once and after
+    its children: the reversed pre-order of an explicit stack, so no call recurses."""
+    found, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if not done(node):
+            found.append(node)
+            stack.extend(children(node))
+    return dict.fromkeys(reversed(found))
+
+
 @lru_cache(maxsize=None)
 def _trees_exact(n: int) -> tuple[CombTree, ...]:
     if n == 1:

@@ -17,6 +17,7 @@ from typing import Any, Callable, Mapping
 from .errors import ArityMismatch
 from .ptrees import NIL, PTree, Signature, enumerate_by_nodes, kleene_layer
 from .report import CheckReport, check_each, up_to
+from .trees import _children_first
 
 
 @dataclass(frozen=True)
@@ -31,30 +32,21 @@ class FoldAlgebra:
 
 
 def fold(sig: Signature, alg: FoldAlgebra, t: PTree) -> Any:
-    """Evaluate the algebra over ``t`` bottom-up.
+    """Evaluate the algebra over ``t`` bottom-up, once per distinct subtree.
 
-    Uses an explicit work stack so deep inputs cannot exhaust the call stack.
+    A fold is a function of the tree, so equal subtrees share a value; the
+    children-first walk makes no recursive call, so deep inputs cannot
+    exhaust the call stack.
     """
-    # Post-order traversal: second visit pops the children's values.
-    work: list[tuple[PTree, bool]] = [(t, False)]
-    values: list[Any] = []
-    while work:
-        node, expanded = work.pop()
+    values: dict[PTree, Any] = {}
+    for node in _children_first(t, values.__contains__):
         if node.is_nil():
-            values.append(alg.nil_value)
-            continue
-        if node.op.name not in alg.interp:
+            values[node] = alg.nil_value
+        elif node.op.name not in alg.interp:
             raise ArityMismatch(f"no interpretation for operation {node.op.name}")
-        if not expanded:
-            work.append((node, True))
-            for child in reversed(node.children):
-                work.append((child, False))
         else:
-            arity = node.op.arity
-            args = values[len(values) - arity :] if arity else []
-            del values[len(values) - arity :]
-            values.append(alg.apply(node.op.name, args))
-    return values[0]
+            values[node] = alg.apply(node.op.name, [values[c] for c in node.children])
+    return values[t]
 
 
 def _broken_rule(alg: FoldAlgebra, value: Callable[[PTree], Any], t: PTree):

@@ -205,6 +205,13 @@ ACCEPTANCE_COMMANDS = {
         ("5c2ae09d3ea34e395d938308f12683f1398d8d40fd25c14ac93bf58dc95ce3ba", 0),
     ("green", "--signature", "stable:3", "--bound", "4", "--format", "structured"):
         ("cc1f7dfaec5622b2f0a2765eda82641f69380f7009f659a2c1b0005763722afc", 0),
+    # Leaf groups of several node counts, so the order within a group shows.
+    ("green", "--signature", "list:2", "--bound", "4"):
+        ("5da05630a3ec7a0d6fd8695c3270218bd324a123a3eec608e54c8262a6e02d02", 0),
+    ("fold-demo", "--demo", "leaf-count", "--signature", "list:2", "--n", "3"):
+        ("9a3ca3a1458b2d19de8dbbc760ea00ab0dda78c9b9d31f33a3e265bec2a5e241", 0),
+    ("check", "--law", "computation", "--signature", "list:2", "--bound", "4"):
+        ("4ea1624140ea2dcad17ef8b5ee5bc85cfdf7e11c8318ca399cef6157c5333671", 0),
 }
 
 

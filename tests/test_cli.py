@@ -312,3 +312,47 @@ def test_enumerating_commands_hit_the_cache_when_repeated(capsys):
     capsys.readouterr()
     assert warm.misses == cold.misses and warm.hits > cold.hits
     assert warm.currsize <= ptrees.GRADED_CACHE_SIZE
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--spec", "linear", "--order", "11"], "--order must lie in 0..10"),
+        (["enumerate", "--signature", "binary", "--by", "leaves", "--n", "2", "--node-bound", "9"],
+         "--node-bound must lie in 0..8"),
+        (["enumerate", "--signature", "binary", "--by", "leaves", "--n", "11"], "--n must lie in 0..10 for leaves"),
+        (["enumerate", "--signature", "binary", "--n", "-1"], "--n must lie in 0..8 for nodes"),
+        (["census", "--signature", "binary", "--n", "9"], "--n must lie in 0..8 for nodes"),
+        (["green", "--signature", "binary", "--bound", "9"], "--bound must lie in 0..8"),
+        (["check", "--law", "coassoc", "--degree", "-1"], "--degree must lie in 0..8"),
+        (["check", "--law", "lambek", "--bound", "9"], "--bound must lie in 0..8"),
+        (["fold-demo", "--demo", "nat", "--n", "9"], "--n must lie in 0..8"),
+    ],
+)
+def test_each_bound_prints_its_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_node_bound_holds_without_small_arities(capsys):
+    argv = ["enumerate", "--signature", "binary", "--by", "leaves", "--n", "3", "--node-bound"]
+    assert cli.main([*argv, "0"]) == 0
+    assert capsys.readouterr().out == "total: 0\n"
+    assert cli.main([*argv, "2"]) == 0
+    assert capsys.readouterr().out == "b(b(|,|),|)\nb(|,b(|,|))\ntotal: 2\n"
+
+
+@pytest.mark.parametrize("signature, node_bound", [("binary", False), ("list:2", True)])
+@pytest.mark.parametrize("bound", [0, 2, 4])
+def test_green_lists_the_enumerated_trees_of_each_leaf_count(signature, node_bound, bound, capsys):
+    assert cli.main(["green", "--signature", signature, "--bound", str(bound), "--format", "structured"]) == 0
+    green = json.loads(capsys.readouterr().out)
+    # A tree of at most `bound` nodes has at most bound + 1 leaves in either signature,
+    # and a binary tree of k leaves has k - 1 nodes, so it needs no node bound up to there.
+    for k in range(bound + 3 if node_bound else bound + 2):
+        argv = ["enumerate", "--signature", signature, "--by", "leaves", "--n", str(k), "--format", "structured"]
+        assert cli.main(argv + (["--node-bound", str(bound)] if node_bound else [])) == 0
+        assert green.pop(f"g_{k}", []) == json.loads(capsys.readouterr().out)["trees"], k
+    assert green == {}

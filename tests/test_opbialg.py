@@ -213,21 +213,21 @@ def test_core_homomorphism_binary_bound_4():
 
 
 def test_green_identity_signature():
-    series = green(identity_signature(), 3)
-    assert series.max_leaves() == 1
-    component = series.leaf_component(1)
-    assert len(component.terms) == 4  # ladders with 0..3 nodes
+    graded = green(identity_signature(), 3)
+    assert max(graded) == 1
+    component = graded[1]
+    assert len(component) == 4  # ladders with 0..3 nodes
 
 
 def test_green_binary_bound_2():
-    series = green(BIN, 2)
-    by_leaves = {n: len(series.leaf_component(n).terms) for n in range(1, 4)}
+    graded = green(BIN, 2)
+    by_leaves = {n: len(graded.get(n, [])) for n in range(1, 4)}
     assert by_leaves == {1: 1, 2: 1, 3: 2}
 
 
 def test_green_stable_g4():
-    series = green(stable_signature(4), 3)
-    assert len(series.leaf_component(4).terms) == 11
+    graded = green(stable_signature(4), 3)
+    assert len(graded[4]) == 11
 
 
 def test_faa_di_bruno_small_bounds():

@@ -238,3 +238,11 @@ def test_census_rejects_unknown_grading():
     with pytest.raises(ValueError):
         core_census(BIN, 2, by="height")
 
+
+
+def test_node_bound_holds_without_small_arities():
+    assert enumerate_by_leaves(BIN, 3, node_bound=1) == []
+    assert [t.code for t in enumerate_by_leaves(BIN, 3, node_bound=2)] == ["b(b(|,|),|)", "b(|,b(|,|))"]
+    # One v4 node, or two nodes (v2 and v3), or three v2 nodes: the bound drops the bigger ones.
+    found = enumerate_by_leaves(stable_signature(4), 4, node_bound=2)
+    assert sorted(t.node_count for t in found) == [1] + [2] * 5

@@ -82,6 +82,16 @@ def test_fold_handles_deep_ladders():
     assert fold(IDENT, alg, ladder(depth)) == depth
 
 
+def test_fold_interprets_each_distinct_subtree_once():
+    full = NIL
+    for _ in range(12):
+        full = node(full, full)  # a full binary tree: 4,095 nodes, 12 distinct subtrees with a node
+    calls = []
+    alg = FoldAlgebra(0, {"b": lambda x, y: calls.append(x) or x + y + 1})
+    assert fold(BIN, alg, full) == 2**12 - 1
+    assert calls == [2**h - 1 for h in range(12)]  # one call per height, the left slot's value
+
+
 def test_computation_rules_pass():
     assert check_computation_rules(BIN, node_count_algebra(BIN), 4).passed
     nil_only = check_computation_rules(BIN, node_count_algebra(BIN), 0)
