@@ -7,8 +7,8 @@ antipode is the cancellation-free forest formula: a sum over every set of
 edges, signed by the number of pieces left.  All coefficients are exact
 :class:`fractions.Fraction` values.  The cut enumeration and the coproduct
 also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
-a call: a law check keeps one cut table (:class:`_Ids`) and reads its laws off
-int ids, and other callers that repeat work pass a ``table``.
+a call: each call or law check fills one cut table (:class:`_Ids`) of its own,
+and a law check reads its coproduct and antipode off the table's int ids.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
-from typing import Optional
 
 from .errors import MalformedCode
 from .linear import LinComb, Scalar, parse_scalar
@@ -116,6 +115,14 @@ class _Ids:
             return Counter(zip(flats[0][::2], flats[0][1::2]))
         return Counter(tuple(self.number(tuple(sorted(sum(side, ())))) for side in cut) for cut in self.choices(flats))
 
+    def antipode(self, n: int) -> Counter:
+        """The antipode of forest ``n`` per forest id: over every set of edges, the pieces left, signed."""
+        signed: Counter = Counter()
+        for combo in iproduct(*map(self.edge_cuts, self.keys[n])):
+            pieces = sorted(piece for cut in combo for piece in cut)
+            signed[self.number(tuple(pieces))] += (-1) ** len(pieces)
+        return signed
+
     def edge_cuts(self, n: int) -> list[tuple[int, ...]]:
         """Per set of edges of comb tree ``n``, the ids of the piece holding the root and then of the
         pieces cut off, filled children first: a child edge is kept or cut, whatever is cut inside."""
@@ -137,28 +144,27 @@ class _Ids:
         return LinComb({self.obj(k) if type(k) is int else tuple(map(self.obj, k)): c for k, c in terms.items()}).text()
 
 
-def tree_cuts(t, table: Optional[dict] = None) -> tuple[tuple[Forest, Forest], ...]:
+def tree_cuts(t) -> tuple[tuple[Forest, Forest], ...]:
     """All cuts of ``t`` as (upper forest, lower forest) pairs, the cut under the root first.
 
     ``t`` is a :class:`CombTree` or a decorated tree.  Below the cut under the root
     lies nothing of a comb tree and the bare root edge of a decorated one; below any
-    other cut lies one tree.  ``table`` caches one computation's work (a fresh one
-    without it): its trees and forests get small int ids, each tree's cuts are a flat
-    tuple of forest ids filled children first with no recursion, and a forest, with
-    any tree it holds, is built once and only when it leaves in a result.
+    other cut lies one tree.  The call numbers trees and forests in a cut table of its
+    own (:class:`_Ids`), fills each tree's cuts children first with no recursion, and
+    builds a forest, with any tree it holds, once and only when it leaves in a result.
     """
-    ids = _Ids() if table is None else table.get(_Ids) or table.setdefault(_Ids, _Ids())
+    ids = _Ids()
     flat = ids.tree_cuts(ids.tree(t))
     return tuple(zip(map(ids.obj, flat[::2]), map(ids.obj, flat[1::2])))
 
 
-def coproduct(x, table: Optional[dict] = None) -> HckTensor:
+def coproduct(x) -> HckTensor:
     """Cut coproduct of a tree, a forest or a linear combination of forests.
 
-    It is extended multiplicatively to forests and linearly to combinations.
-    ``table`` is the cache of :func:`tree_cuts`, whose forests are the factors.
+    It is extended multiplicatively to forests and linearly to combinations,
+    over one cut table (that of :func:`tree_cuts`) for all of ``x``.
     """
-    ids = _Ids() if table is None else table.get(_Ids) or table.setdefault(_Ids, _Ids())
+    ids = _Ids()
     if isinstance(x, LinComb):
         acc: Counter = Counter()
         for forest, coeff in x.terms.items():
@@ -181,12 +187,8 @@ def counit(x: HckElem) -> Scalar:
 def antipode(x: HckElem) -> HckElem:
     """Convolution inverse of the identity: over every set of edges of each
     forest, the product of the pieces left, signed (-1) to their number."""
-    ids, acc = _Ids(), Counter()
-    for forest, coeff in x.terms.items():
-        for combo in iproduct(*(ids.edge_cuts(ids.tree(t)) for t in forest.trees)):
-            pieces = sorted(piece for cut in combo for piece in cut)
-            acc[ids.number(tuple(pieces))] += coeff * (-1) ** len(pieces)
-    return HckElem({ids.obj(n): c for n, c in acc.items()})
+    ids = _Ids()
+    return HckElem.sum((ids.obj(n), a * c) for f, a in x.terms.items() for n, c in ids.antipode(ids.forest(f)).items())
 
 
 def bplus(x: HckElem) -> HckElem:
@@ -251,14 +253,14 @@ def check_counit(degree_bound: int) -> CheckReport:
 
 def check_antipode(degree_bound: int) -> CheckReport:
     """Verify m(S x Id)coproduct = unit*counit on all small forests."""
-    table: dict = {}
-    antipode_of = cache(lambda f: antipode(HckElem.from_forest(f)))
+    ids = _Ids()
+    antipode_of = cache(lambda n: HckElem({ids.obj(m): c for m, c in ids.antipode(n).items()}))  # forest id -> S
 
     def law(f: Forest):
         acc = HckElem.sum(
             (key, c * d)
-            for (a, b), c in coproduct(f, table).terms.items()
-            for key, d in product(antipode_of(a), HckElem.from_forest(b)).terms.items()
+            for (a, b), c in ids.delta(ids.forest(f)).items()
+            for key, d in product(antipode_of(a), HckElem.from_forest(ids.obj(b))).terms.items()
         )
         expected = HckElem.one() if f == EMPTY_FOREST else HckElem.zero()
         return None if acc == expected else (expected.text(), acc.text())

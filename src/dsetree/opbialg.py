@@ -57,17 +57,16 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
     bound; returns the first violation in deterministic order, or None.
     """
     pool = up_to(partial(enumerate_by_nodes, sig), node_bound)
-    table: dict = {}
     for op in sig.ops:
         for args in iproduct(pool, repeat=op.arity):
             if sum(t.node_count for t in args) > node_bound:
                 continue
             built = PTree(op, args)
-            lhs = coproduct(built, table)
+            lhs = coproduct(built)
             # The cocycle identity puts the empty forest, not the bare root
             # edge, below the cut under the root.
             rhs = LinComb.sum(chain(
-                ((cut, 1) for cut in tree_cuts(built, table)[1:]),
+                ((cut, 1) for cut in tree_cuts(built)[1:]),
                 [((Forest([built]), EMPTY_FOREST), 1)],
             ))
             if lhs != rhs:
@@ -113,8 +112,8 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
     the bound."""
     graded = green(sig, node_bound)
     trees = [t for group in graded.values() for t in group]
-    table: dict = {}
-    lhs = LinComb.sum(pair for t in trees for pair in coproduct(t, table).terms.items())
+    total = LinComb({Forest([t]): 1 for t in trees})
+    lhs = coproduct(total)
 
     def bounded(x: LinComb, y: LinComb) -> list:
         """Term pairs ``(f, c, g, d)`` of ``x`` and ``y`` with degrees summing to at most
@@ -128,7 +127,6 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
             if size <= room
         ]
 
-    total = LinComb({Forest([t]): 1 for t in trees})
     pairs = []
     power = LinComb.one()
     for n in range(max(graded, default=0) + 1):

@@ -146,15 +146,15 @@ def aut_order(t: CombTree) -> int:
 
 
 def _children_first(root, done, children=lambda node: node.children) -> dict:
-    """``root`` and what lies below it that is not ``done`` yet, each once and after
-    its children: the reversed pre-order of an explicit stack, so no call recurses."""
-    found, stack = [], [root]
+    """``root`` and what lies below it that is not ``done`` yet, each expanded once and
+    listed after its children: an explicit post-order stack, so no call recurses."""
+    found, stack = {}, [root]
     while stack:
-        node = stack.pop()
-        if not done(node):
-            found.append(node)
-            stack.extend(children(node))
-    return dict.fromkeys(reversed(found))
+        if (node := stack.pop()) is None:  # the marker under a node's children: they are all found
+            found[stack.pop()] = None
+        elif node not in found and not done(node):
+            stack += (node, None, *children(node)[::-1])
+    return found
 
 
 @lru_cache(maxsize=None)

@@ -137,6 +137,18 @@ def test_deep_trees_spend_no_frame_per_level():
     assert aut_order(graft(Forest([tall, tall]))) == 2
 
 
+def shared_coproduct(ids, x):
+    """The coproduct of tree or forest ``x`` read off the cut table ``ids``, as :func:`coproduct` gives it."""
+    n = ids.forest(x) if isinstance(x, Forest) else ids.number((ids.tree(x),))
+    return HckTensor({(ids.obj(u), ids.obj(l)): c for (u, l), c in ids.delta(n).items()})
+
+
+def shared_tree_cuts(ids, t):
+    """The cuts of tree ``t`` read off the cut table ``ids``, as :func:`tree_cuts` gives them."""
+    flat = ids.tree_cuts(ids.tree(t))
+    return tuple(zip(map(ids.obj, flat[::2]), map(ids.obj, flat[1::2])))
+
+
 def test_coproduct_builds_one_forest_per_code(monkeypatch):
     # One table serves planar trees and comb forests alike; a forest met again
     # is found by its code, not built again.
@@ -149,9 +161,9 @@ def test_coproduct_builds_one_forest_per_code(monkeypatch):
         built[self.code] += 1
 
     monkeypatch.setattr(Forest, "__init__", counted)
-    table: dict = {}
+    ids = _Ids()
     for x in inputs:
-        coproduct(x, table)
+        shared_coproduct(ids, x)
     assert built and max(built.values()) == 1, built.most_common(3)
 
 
@@ -169,15 +181,15 @@ def test_lower_trees_met_only_through_ids_build_without_recursion(bottom):
     # table builds every lower tree that leaves from its ids alone.
     sig = Signature((Operation("s", 1), Operation("b", 2)))
     ladder = _deep_ladder(sig, parse_ptree(bottom, sig))
-    table: dict = {}
-    delta = coproduct(ladder, table)
+    ids = _Ids()
+    delta = shared_coproduct(ids, ladder)
     assert len(delta.terms) == 521 + (bottom != "|")
     # The cut that takes off the fewest nodes, but some.
     deepest = max((lower for upper, lower in delta.terms if upper.degree), key=lambda f: f.degree)
     assert deepest.degree == 519 + (bottom != "|")
-    assert coproduct(deepest, table) == coproduct(deepest, {})
+    assert shared_coproduct(ids, deepest) == coproduct(deepest)
     (lower_tree,) = deepest.trees
-    assert tree_cuts(lower_tree, table) == tree_cuts(lower_tree, {})
+    assert shared_tree_cuts(ids, lower_tree) == tree_cuts(lower_tree)
 
 
 def test_one_table_keeps_ids_canonical_across_kinds_and_signatures():
@@ -186,16 +198,15 @@ def test_one_table_keeps_ids_canonical_across_kinds_and_signatures():
     clash = Signature((Operation("v1", 1), Operation("v2", 2), Operation("v3", 1)))
     planar = [*up_to(partial(enumerate_by_nodes, stable3), 4), *up_to(partial(enumerate_by_nodes, clash), 4)]
     comb = up_to(enumerate_forests, 5)
-    table: dict = {}
+    ids = _Ids()
     for x in [y for pair in zip(planar, comb) for y in pair] + planar[len(comb):] + comb[len(planar):]:
-        assert coproduct(x, table) == coproduct(x, {}), x
-    ids = table[_Ids]
+        assert shared_coproduct(ids, x) == coproduct(x), x
     assert ids.tree(NIL) != ids.tree(LEAF)
     left, right = (parse_ptree(code, clash) for code in ("v2(v1(|),|)", "v2(|,v1(|))"))
     assert ids.tree(left) != ids.tree(right)
     assert ids.tree(parse_ptree("v3(|)", clash)) != ids.tree(parse_ptree("v3(|,|,|)", stable3))
     for t in (NIL, LEAF, left, right):
-        assert tree_cuts(t, table) == tree_cuts(t, {})
+        assert shared_tree_cuts(ids, t) == tree_cuts(t)
 
 
 def test_cut_layer_keeps_no_module_level_table():

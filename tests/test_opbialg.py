@@ -247,21 +247,23 @@ def test_shared_table_changes_no_result_and_shares_each_code():
     ]
     comb_forests = up_to(enumerate_forests, 5)
     comb_trees = [f.trees[0] for f in comb_forests if len(f.trees) == 1]
-    table = {}
+    ids = hopf._Ids()
     shared = {}
 
     def is_shared(x):
         return shared.setdefault((type(x), x.code), x) is x
 
     for t in trees + comb_trees:
-        cuts = tree_cuts(t, table)
+        flat = ids.tree_cuts(ids.tree(t))
+        cuts = tuple(zip(map(ids.obj, flat[::2]), map(ids.obj, flat[1::2])))
         assert cuts == tree_cuts(t)
         assert all(is_shared(crown) and is_shared(lower) for crown, lower in cuts)
     # A decorated tree and its core share the table, as in the
     # core-homomorphism check.
     with_cores = [y for t in trees for y in (t, core(t))]
     for x in with_cores + forests + comb_trees + comb_forests:
-        delta = coproduct(x, table)
+        n = ids.forest(x) if isinstance(x, Forest) else ids.number((ids.tree(x),))
+        delta = LinComb({(ids.obj(u), ids.obj(l)): c for (u, l), c in ids.delta(n).items()})
         assert delta == coproduct(x)
         assert all(is_shared(crown) and is_shared(lower) for crown, lower in delta.terms)
 

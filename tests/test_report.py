@@ -90,15 +90,15 @@ def at_ids(mutant):
 
 
 # Each law check, the function its coproduct mutants replace, and the mutants it
-# must report.  The counit, cocycle and core-homomorphism laws read the cut
-# table's ids and never call hopf.coproduct, so their mutants live in
+# must report.  The counit, antipode, cocycle and core-homomorphism laws read the
+# cut table's ids and never call hopf.coproduct, so their mutants live in
 # _Ids.forest_cuts.  A law blind to a mutant is not paired with it: the counit
 # laws ignore the cuts with both factors nonempty, and in a commutative algebra
 # the counit and antipode laws also hold for the coproduct with its factors swapped.
 ALL_AT_IDS = tuple(map(at_ids, (drop_one_cut, off_by_one, swap_factors)))
 LAW_CHECKS = (
     (partial(check_counit, 4), hopf._Ids, "forest_cuts", (at_ids(off_by_one),)),
-    (partial(check_antipode, 4), hopf, "coproduct", (drop_one_cut, off_by_one)),
+    (partial(check_antipode, 4), hopf._Ids, "forest_cuts", (at_ids(drop_one_cut), at_ids(off_by_one))),
     (partial(check_cocycle, 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
     (partial(check_core_homomorphism, binary_signature(), 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
 )
@@ -139,13 +139,13 @@ def test_coassociativity_driver_computes_each_coproduct_once():
 
 def test_antipode_check_computes_each_antipode_once(monkeypatch):
     calls = Counter()
+    signed = hopf._Ids.antipode
 
-    def counted(x):
-        (f,) = x.terms
-        calls[f] += 1
-        return antipode(x)
+    def counted(self, n):
+        calls[self.obj(n)] += 1
+        return signed(self, n)
 
-    monkeypatch.setattr(hopf, "antipode", counted)
+    monkeypatch.setattr(hopf._Ids, "antipode", counted)
     assert check_antipode(5).passed
     assert set(calls.values()) == {1}
     assert calls.keys() == {upper for f in up_to(enumerate_forests, 5) for upper, _ in coproduct(f).terms}
@@ -264,6 +264,39 @@ def test_counit_and_cocycle_failures_print_the_same_bytes(monkeypatch, capsys):
         assert capsys.readouterr().out == stdout, law
 
 
+# Stdout of the failing antipode check at degree 3, recorded while the check
+# still called hopf.coproduct, with the same mutant applied to hopf.coproduct.
+ANTIPODE_DROP_ONE_CUT_STDOUT = (
+    "FAIL (antipode, 8 inputs)\n"
+    "  counterexample: input=(()) expected=0 actual=1*()*()\n"
+    "  counterexample: input=()*() expected=0 actual=2*()*()\n"
+    "  counterexample: input=((())) expected=0 actual=1*(())*()\n"
+    "  counterexample: input=(()()) expected=0 actual=-1*()*()*()\n"
+    "  counterexample: input=(())*() expected=0 actual=-1*()*()*()\n"
+    "  counterexample: input=()*()*() expected=0 actual=-3*()*()*() [degree <= 3]\n"
+)
+ANTIPODE_OFF_BY_ONE_STDOUT = (
+    "FAIL (antipode, 8 inputs)\n"
+    "  counterexample: input=1 expected=1*1 actual=2*1\n"
+    "  counterexample: input=() expected=0 actual=-1*()\n"
+    "  counterexample: input=(()) expected=0 actual=-1*(()) + 1*()*()\n"
+    "  counterexample: input=()*() expected=0 actual=-1*()*()\n"
+    "  counterexample: input=((())) expected=0 actual=-1*((())) + 2*(())*() + -1*()*()*()\n"
+    "  counterexample: input=(()()) expected=0 actual=-1*(()()) + 2*(())*() + -1*()*()*()\n"
+    "  counterexample: input=(())*() expected=0 actual=-1*(())*() + 1*()*()*()\n"
+    "  counterexample: input=()*()*() expected=0 actual=-1*()*()*() [degree <= 3]\n"
+)
+
+
+def test_antipode_failures_print_the_same_bytes(monkeypatch, capsys):
+    for mutant, stdout in ((drop_one_cut, ANTIPODE_DROP_ONE_CUT_STDOUT), (off_by_one, ANTIPODE_OFF_BY_ONE_STDOUT)):
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(hopf._Ids, "forest_cuts", at_ids(mutant)(hopf._Ids.forest_cuts))
+            assert main(["check", "--law", "antipode", "--degree", "3"]) == 1
+        assert capsys.readouterr().out == stdout, mutant.__name__
+
+
 def constructions(monkeypatch, *classes) -> Counter:
     """How often each of ``classes`` is constructed from now on."""
     built = Counter()
@@ -296,10 +329,10 @@ def test_antipode_builds_each_output_forest_once(monkeypatch):
 
 
 def omit_the_sign(antipode):
-    """The antipode with every coefficient replaced by its absolute value."""
+    """``_Ids.antipode`` with every count replaced by its absolute value."""
 
-    def mutant(x):
-        return LinComb({f: abs(c) for f, c in antipode(x).terms.items()})
+    def mutant(self, n):
+        return Counter({m: abs(c) for m, c in antipode(self, n).items()})
 
     return mutant
 
@@ -309,7 +342,7 @@ def test_antipode_check_reports_the_unsigned_antipode(monkeypatch):
     # would fail the unmutated check.  At degree 0 the only input is the empty
     # forest, whose antipode is 1 anyway.
     with monkeypatch.context() as patch:
-        patch.setattr(hopf, "antipode", omit_the_sign(hopf.antipode))
+        patch.setattr(hopf._Ids, "antipode", omit_the_sign(hopf._Ids.antipode))
         for degree in range(1, 5):
             assert not check_antipode(degree).passed, degree
     assert check_antipode(4).passed

@@ -11,6 +11,7 @@ from dsetree.trees import (
     MAX_DEPTH,
     CombTree,
     Forest,
+    _children_first,
     aut_order,
     canon_code,
     enumerate_comb_trees,
@@ -131,6 +132,21 @@ def test_aut_order_by_brute_force_over_child_permutations():
     assert aut_order(vtree) == 2 == labeled_aut(vtree)
     ladder = CombTree([CombTree([CombTree([LEAF])])])
     assert aut_order(ladder) == 1
+
+
+def test_children_first_expands_each_distinct_node_once():
+    full, heights = LEAF, [LEAF]
+    for _ in range(12):
+        full = CombTree([full, full])  # 8,191 nodes, 13 distinct subtrees shared by reference
+        heights.append(full)
+    expanded = []
+
+    def children(node):
+        expanded.append(node)
+        return node.children
+
+    assert list(_children_first(full, lambda node: False, children)) == heights
+    assert len(expanded) == 13
 
 
 def test_enumeration_counts_match_both_oracles():

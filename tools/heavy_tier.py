@@ -14,7 +14,7 @@ sides take turns at going first.
 The JSON result (stdout, or ``--out``) maps each command to, per side, the
 medians of its runs, then the calibrated speed-up of the last side over the
 first and every raw run.  Without ``--command`` the two stable:4 checks at
-bound 5 are run.
+bound 5 and the antipode check at degree 8 are run.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = (
     "check --law op-coassoc --signature stable:4 --bound 5",
     "check --law core-hom --signature stable:4 --bound 5",
+    "check --law antipode --degree 8",
 )
 
 
