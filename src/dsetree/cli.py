@@ -1,20 +1,22 @@
 """Command-line front end.
 
-Exit status: 0 on success and passing checks, 1 on a failing check
-(counterexamples are printed), 2 on usage or parse errors.  All output is
-deterministic: terms and trees are always listed in ascending code order.
+Exit status: 0 on success, on passing checks and when the reader closes stdout
+early, 1 on a failing check (counterexamples are printed), 2 on usage or parse
+errors.  All output is deterministic: terms and trees are always listed in ascending code order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import dse, hopf, opbialg, ptrees, trees, wtypes
 from .errors import DsetreeError, SizeLimit
 
 MAX_NODE_BOUND = 8
+WRITE_BLOCK = 8  # codes per write in enumerate: the block size of least peak memory measured (README)
 _FAMILIES = {"list": ptrees.list_signature, "stable": ptrees.stable_signature}
 
 
@@ -82,13 +84,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         sig = _signature_for_enumeration(args)
         if args.by == "nodes":
-            codes = ptrees.enumerate_by_nodes(sig, args.n, build=ptrees._code)
+            codes = ptrees.enumerate_by_nodes(sig, args.n, build=ptrees._codes)
         else:
-            codes = ptrees.enumerate_by_leaves(sig, args.n, args.node_bound, build=ptrees._code)
+            codes = ptrees.enumerate_by_leaves(sig, args.n, args.node_bound, build=ptrees._codes)
     if args.format == "structured":
         print(json.dumps({"count": len(codes), "trees": codes}, indent=2))
     else:
-        sys.stdout.writelines(f"{code}\n" for code in codes)
+        sys.stdout.writelines("\n".join(codes[i:i + WRITE_BLOCK]) + "\n" for i in range(0, len(codes), WRITE_BLOCK))
         print(f"total: {len(codes)}")
     return 0
 
@@ -108,7 +110,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_green(args: argparse.Namespace) -> int:
     _check_range("--bound", args.bound, MAX_NODE_BOUND)
-    graded = ptrees.by_leaves(_load_signature(args.signature), args.bound, build=ptrees._code)
+    graded = ptrees.by_leaves(_load_signature(args.signature), args.bound, build=ptrees._codes)
     payload = {f"g_{n}": codes for n, codes in graded.items()}
     if args.format == "structured":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -158,7 +160,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _code_algebra(sig: ptrees.Signature) -> wtypes.FoldAlgebra:
     # Rebuilds each tree's code, so a fold that feeds any slot the wrong child is caught.
-    return wtypes.FoldAlgebra("|", {op.name: (lambda *vs, op=op: ptrees._code(op, vs)) for op in sig.ops})
+    return wtypes.FoldAlgebra("|", {op.name: (lambda *vs, op=op: "".join(ptrees._codes(op, [vs]))) for op in sig.ops})
 
 
 def _cmd_fold_demo(args: argparse.Namespace) -> int:
@@ -255,7 +257,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit stays quiet
+        return 0
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         return _usage_error(f"cannot open {exc.filename}")
     except (DsetreeError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .errors import SizeLimit
@@ -39,7 +40,7 @@ class LinComb:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Key, Scalar] = ()):
+    def __init__(self, terms: Mapping[Key, Scalar] = MappingProxyType({})):
         clean = {k: c if type(c) is Fraction else Fraction(c) for k, c in dict(terms).items() if c}
         self.terms: dict[Key, Fraction] = clean
 

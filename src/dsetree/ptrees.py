@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, combinations, product as iproduct
+from itertools import accumulate, combinations, product as iproduct, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
@@ -64,9 +64,9 @@ class Signature:
         return any(op.arity <= 1 for op in self.ops)
 
 
-def _code(op: Optional[Operation], kids: Iterable[str]) -> str:
-    """The code of the node ``op`` over children with codes ``kids``: the bare edge is ``"|"``."""
-    return "|" if op is None else op.name + "(" + ",".join(kids) + ")"
+def _codes(op: Optional[Operation], kid_tuples: Iterable[tuple[str, ...]]) -> Iterable[str]:
+    """The code of ``op`` over each tuple of child codes, joined in C; names may hold ``{``, ``}`` or ``%``."""
+    return ["|"] if op is None else map("".join, zip(repeat(op.name + "("), map(",".join, kid_tuples), repeat(")")))
 
 
 class PTree(Canonical):
@@ -79,7 +79,7 @@ class PTree(Canonical):
             raise ArityMismatch("the bare edge has no children")
         if op is not None and len(children) != op.arity:
             raise ArityMismatch(f"operation {op.name} has arity {op.arity}, got {len(children)} children")
-        self.code = _code(op, [c.code for c in children])
+        self.code = "|" if op is None else op.name + "(" + ",".join([c.code for c in children]) + ")"
         self.op = op
         self.children = tuple(children)
 
@@ -97,6 +97,10 @@ class PTree(Canonical):
 
 
 NIL = PTree()
+
+
+def _nodes(op: Optional[Operation], kid_tuples: Iterable[tuple[PTree, ...]]) -> Iterator[PTree]:
+    return (PTree(op, kids) for kids in kid_tuples)
 
 
 def parse_ptree(s: str, sig: Signature) -> PTree:
@@ -173,18 +177,17 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=GRADED_CACHE_SIZE)
 def _graded(sig: Signature, by: str, k: int, build: Callable) -> tuple:
-    """Trees of size ``k`` in code order, made by ``build``: :class:`PTree` or :func:`_code`,
-    which sort alike.  A node of arity m weighs 1 by nodes and m - 1 by leaves, so
-    size k by leaves is k + 1 leaves; that needs every arity >= 2."""
-    out = [build(None, ())] if k == 0 else []
+    """Trees of size ``k`` in code order, made by ``build(op, kid_tuples)``: the nodes of ``op`` over each
+    tuple of children, or the bare edge if ``op`` is None; :func:`_nodes` or :func:`_codes`, which sort alike.
+    A node of arity m weighs 1 by nodes and m - 1 by leaves, so size k by leaves is k + 1 leaves (arities >= 2)."""
+    out = list(build(None, [()])) if k == 0 else []
     for op in sig.ops:
         for sizes in _compositions(k - (1 if by == "nodes" else op.arity - 1), op.arity):
-            for kids in iproduct(*(_graded(sig, by, size, build) for size in sizes)):
-                out.append(build(op, kids))
+            out.extend(build(op, iproduct(*(_graded(sig, by, size, build) for size in sizes))))
     return tuple(sorted(out))
 
 
-def enumerate_by_nodes(sig: Signature, n: int, build: Callable = PTree) -> list:
+def enumerate_by_nodes(sig: Signature, n: int, build: Callable = _nodes) -> list:
     """All trees over ``sig`` with exactly ``n`` nodes, in code order, made by ``build``."""
     if n < 0:
         raise ValueError("node count must be nonnegative")
@@ -194,7 +197,7 @@ def enumerate_by_nodes(sig: Signature, n: int, build: Callable = PTree) -> list:
 
 
 def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None,
-                        build: Callable = PTree) -> list:
+                        build: Callable = _nodes) -> list:
     """All trees over ``sig`` with exactly ``n`` leaves, in code order, made by ``build``.
 
     Only trees of at most ``node_bound`` nodes are listed, when it is given;
@@ -206,11 +209,10 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
         raise ValueError("leaf count must be nonnegative")
     if n > MAX_LEAVES:
         raise SizeLimit(f"leaf enumeration capped at {MAX_LEAVES}, got {n}")
-    if node_bound is not None:
-        if node_bound < 0:
-            raise ValueError("node bound must be nonnegative")
-        if node_bound > MAX_ENUM_NODES:
-            raise SizeLimit(f"node enumeration capped at {MAX_ENUM_NODES}, got node bound {node_bound}")
+    if node_bound is not None and node_bound < 0:
+        raise ValueError("node bound must be nonnegative")
+    if node_bound is not None and node_bound > MAX_ENUM_NODES:
+        raise SizeLimit(f"node enumeration capped at {MAX_ENUM_NODES}, got node bound {node_bound}")
     if not sig.has_small_arities():
         # The leaf grading is finite here, and smaller than the node grading up to the bound.
         trees = _graded(sig, "leaves", n - 1, build)
@@ -220,7 +222,7 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
     return by_leaves(sig, node_bound, build).get(n, [])
 
 
-def by_leaves(sig: Signature, node_bound: int, build: Callable = PTree) -> dict[int, list]:
+def by_leaves(sig: Signature, node_bound: int, build: Callable = _nodes) -> dict[int, list]:
     """Every tree over ``sig`` with at most ``node_bound`` nodes, made by ``build`` and
     grouped by leaf count: the counts ascending, each group in code order."""
     groups = defaultdict(list)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from dsetree import cli, dse, ptrees, wtypes
+from dsetree import cli, dse, ptrees, trees, wtypes
 from dsetree.errors import Nonfinite
 
 
@@ -356,3 +356,42 @@ def test_green_lists_the_enumerated_trees_of_each_leaf_count(signature, node_bou
         assert cli.main(argv + (["--node-bound", str(bound)] if node_bound else [])) == 0
         assert green.pop(f"g_{k}", []) == json.loads(capsys.readouterr().out)["trees"], k
     assert green == {}
+
+
+def _written(codes):
+    return "".join(f"{c}\n" for c in codes) + f"total: {len(codes)}\n"
+
+
+BLOCK = cli.WRITE_BLOCK
+
+
+@pytest.mark.parametrize("argv, codes", [
+    (["--signature", "binary", "--by", "leaves", "--n", "3", "--node-bound", "0"], []),
+    (["--signature", "binary", "--n", "0"], ["|"]),
+    # list:k has k + 1 trees of one node, one per operation: one block less one code, a block, and one more.
+    *((["--signature", f"list:{k}", "--n", "1"], sorted(f"l{i}({','.join('|' * i)})" for i in range(k + 1)))
+      for k in (BLOCK - 2, BLOCK - 1, BLOCK)),
+    (["--signature", "list:2", "--n", "4"], [t.code for t in ptrees.enumerate_by_nodes(ptrees.list_signature(2), 4)]),
+    (["--signature", "comb", "--n", "5"], sorted(t.code for t in trees.enumerate_comb_trees(5))),
+])
+def test_enumerate_writes_each_code_on_its_line_then_the_total(argv, codes, capsys):
+    assert cli.main(["enumerate", *argv]) == 0
+    assert capsys.readouterr() == (_written(codes), "")
+
+
+def test_enumerate_writes_the_same_bytes_into_a_pipe(capsys):
+    argv = ["enumerate", "--signature", "list:3", "--n", "5"]
+    result = subprocess.run([sys.executable, "-m", "dsetree.cli", *argv], capture_output=True)
+    assert cli.main(argv) == 0
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == capsys.readouterr().out.encode()
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_command_quietly():
+    # The output (about 750 kB) is far larger than a pipe's buffer, so writing meets the closed pipe.
+    argv = [sys.executable, "-m", "dsetree.cli", "enumerate", "--signature", "list:3", "--n", "5"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"l1(l1(l1(l1(l0()))))\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 0
