@@ -14,7 +14,6 @@ and a law check reads its coproduct and antipode off the table's int ids.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
@@ -165,18 +164,10 @@ def coproduct(x) -> HckTensor:
     over one cut table (that of :func:`tree_cuts`) for all of ``x``.
     """
     ids = _Ids()
-    if isinstance(x, LinComb):
-        acc: Counter = Counter()
-        for forest, coeff in x.terms.items():
-            for pair, n in ids.forest_cuts(map(ids.tree, forest.trees)).items():
-                acc[pair] += n * coeff
-    else:
-        acc = ids.forest_cuts(map(ids.tree, x.trees if isinstance(x, Forest) else (x,)))
-    one, objs, obj = Fraction(1), ids.objs, ids.obj
-    return HckTensor._adopt({
-        (objs[u] or obj(u), objs[l] or obj(l)): one if c == 1 else Fraction(c)
-        for (u, l), c in acc.items() if c
-    })
+    if not isinstance(x, LinComb):
+        x = LinComb.from_forest(x if isinstance(x, Forest) else Forest([x]))
+    cuts = ((c, ids.forest_cuts(map(ids.tree, f.trees))) for f, c in x.terms.items())
+    return HckTensor.sum(((ids.obj(u), ids.obj(l)), n * c) for c, pairs in cuts for (u, l), n in pairs.items())
 
 
 def counit(x: HckElem) -> Scalar:
@@ -206,7 +197,11 @@ def parse_elem(s: str) -> HckElem:
         coeff_text, _, forest_text = part.partition("*")
         if not forest_text:
             raise MalformedCode(f"term without forest: {part!r}")
-        pairs.append((parse_forest(forest_text), parse_scalar(coeff_text)))
+        try:
+            coeff = parse_scalar(coeff_text)
+        except (ValueError, ZeroDivisionError):
+            raise MalformedCode(f"unreadable coefficient in term {part!r}") from None
+        pairs.append((parse_forest(forest_text), coeff))
     return HckElem.sum(pairs)
 
 

@@ -44,13 +44,6 @@ class LinComb:
         clean = {k: c if type(c) is Fraction else Fraction(c) for k, c in dict(terms).items() if c}
         self.terms: dict[Key, Fraction] = clean
 
-    @classmethod
-    def _adopt(cls, terms: dict[Key, Fraction]) -> "LinComb":
-        """A combination that keeps ``terms``, whose values are nonzero ``Fraction``s, as given."""
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
-
     @staticmethod
     def sum(pairs: Iterable[tuple[Key, Scalar]]) -> "LinComb":
         """Add up ``(key, coefficient)`` pairs; keys whose sum is zero are dropped."""

@@ -8,21 +8,23 @@ decorations and outer edges, landing in combinatorial forests.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, combinations, product as iproduct, repeat
+from itertools import combinations, product as iproduct, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
 from .report import up_to
-from .trees import MAX_DEPTH, MAX_ENUM_NODES, Canonical, CombTree, Forest
+from .trees import MAX_ENUM_NODES, Canonical, Forest, _check_depth, _comb_tree, _nesting
 
 MAX_LEAVES = 10
 MAX_HEIGHT = 9
 MAX_LAYER_SIZE = 200_000
 GRADED_CACHE_SIZE = 64  # (signature, grading, size, builder) entries: every size of a few signatures
 SMALL_ARITIES_BY_LEAVES = "signature has nullary or unary operations; pass a node bound"
+_TOKENS = r"[^(),|]*\(|[)|]"  # a node's name and "(", a ")" or a bare edge; compiled on first use
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class PTree(Canonical):
     @property
     def height(self) -> int:
         """Nodes on the longest path from the root, the deepest nesting of ``"("``."""
-        return max(accumulate(1 if ch == "(" else -1 for ch in self.code if ch in "()"), default=0)
+        return _nesting(self.code)
 
     def is_nil(self) -> bool:
         return self.op is None
@@ -104,43 +106,30 @@ def _nodes(op: Optional[Operation], kid_tuples: Iterable[tuple[PTree, ...]]) -> 
 
 
 def parse_ptree(s: str, sig: Signature) -> PTree:
-    """Parse a code over the signature; nodes nested past ``MAX_DEPTH`` are malformed."""
-    pos, tree = _parse_ptree(s, 0, sig, 0)
-    if pos != len(s):
-        raise MalformedCode(f"trailing input at position {pos}: {s!r}")
-    return tree
-
-
-def _parse_ptree(s: str, pos: int, sig: Signature, depth: int) -> tuple[int, PTree]:
-    if pos < len(s) and s[pos] == "|":
-        return pos + 1, NIL
-    if depth == MAX_DEPTH:
-        raise MalformedCode(f"nesting depth exceeds {MAX_DEPTH} at position {pos}")
-    open_paren = s.find("(", pos)
-    if open_paren < 0:
-        raise MalformedCode(f"expected a node at position {pos}: {s!r}")
-    name = s[pos:open_paren]
+    """Parse a code over the signature; nodes nested past ``MAX_DEPTH`` are malformed.  One scan over
+    the tokens ``name(``, ``)`` and ``|`` keeps a stack of open nodes; a code has one spelling, so the
+    tree read must print as ``s``, which catches every character the scan skips."""
+    _check_depth(s)
+    stack: list[tuple[Optional[Operation], list[PTree]]] = [(None, [])]
     try:
-        op = sig.op(name)
-    except KeyError:
-        raise MalformedCode(f"unknown operation {name!r} in {s!r}") from None
-    pos = open_paren + 1
-    children: list[PTree] = []
-    if pos < len(s) and s[pos] != ")":
-        while True:
-            pos, child = _parse_ptree(s, pos, sig, depth + 1)
-            children.append(child)
-            if pos < len(s) and s[pos] == ",":
-                pos += 1
-                continue
-            break
-    if pos >= len(s) or s[pos] != ")":
-        raise MalformedCode(f"expected ')' at position {pos}: {s!r}")
-    if len(children) != op.arity:
-        raise MalformedCode(
-            f"operation {op.name} takes {op.arity} children, got {len(children)}: {s!r}"
-        )
-    return pos + 1, PTree(op, tuple(children))
+        for token in re.findall(_TOKENS, s):
+            if token == "|":
+                stack[-1][1].append(NIL)
+            elif token == ")":
+                op, kids = stack.pop()
+                stack[-1][1].append(PTree(op, kids))
+            else:
+                stack.append((sig.op(token[:-1]), []))
+        [(_, [tree])] = stack
+    except KeyError as e:
+        raise MalformedCode(f"unknown operation {e.args[0]!r} in {s!r}") from None
+    except ArityMismatch as e:
+        raise MalformedCode(f"{e}: {s!r}") from None
+    except (IndexError, ValueError):
+        raise MalformedCode(f"unmatched brackets, or not one tree: {s!r}") from None
+    if tree.code != s:
+        raise MalformedCode(f"not the code of a tree over the signature: {s!r}")
+    return tree
 
 
 def identity_signature() -> Signature:
@@ -249,21 +238,9 @@ def kleene_layer(sig: Signature, k: int) -> set[PTree]:
     return layer
 
 
-def _core_tree(t: PTree) -> CombTree:
-    # Read off the code: a node prints one "(" and its ")", a bare edge neither.
-    stack: list[list[CombTree]] = [[]]
-    for ch in t.code:
-        if ch == "(":
-            stack.append([])
-        elif ch == ")":
-            children = stack.pop()
-            stack[-1].append(CombTree(children))
-    return stack[0][0]
-
-
 def core(t: PTree) -> Forest:
-    """Combinatorial tree of inner edges: decorations and outer edges dropped."""
-    return Forest(() if t.is_nil() else (_core_tree(t),))
+    """Combinatorial tree of inner edges, read off the code's brackets: decorations and outer edges dropped."""
+    return Forest(() if t.is_nil() else (_comb_tree(t.code),))
 
 
 def core_census(sig: Signature, k: int, by: str = "nodes") -> dict[Forest, int]:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .errors import MalformedCode, SizeLimit
 
 MAX_ENUM_NODES = 12
-MAX_DEPTH = 200  # deepest nesting the code parsers accept: they recurse once per level
+MAX_DEPTH = 200  # deepest nesting parsed, as depth costs work: n + 1 cuts of n nodes and 2^(n-1) edge sets for a ladder
 
 
 class Canonical:
@@ -98,25 +99,37 @@ def parse_code(s: str) -> CombTree:
     rejected.  Raises :class:`MalformedCode` on any other deviation and on
     nesting deeper than ``MAX_DEPTH``.
     """
-    pos, tree = _parse_tree(s, 0, 0)
-    if pos != len(s):
-        raise MalformedCode(f"trailing input at position {pos}: {s!r}")
+    if s.count("(") + s.count(")") != len(s):
+        raise MalformedCode(f"a tree code holds only '(' and ')': {s!r}")
+    _check_depth(s)
+    return _comb_tree(s)
+
+
+def _nesting(s: str) -> int:
+    """The deepest nesting of ``"("`` in ``s``."""
+    return max(accumulate(1 if ch == "(" else -1 for ch in s if ch in "()"), default=0)
+
+
+def _check_depth(s: str) -> None:
+    if _nesting(s) > MAX_DEPTH:
+        raise MalformedCode(f"nesting depth exceeds {MAX_DEPTH}")
+
+
+def _comb_tree(s: str) -> CombTree:
+    """The comb tree of the brackets of ``s``: each ``"("`` opens a node, its ``")"`` closes it,
+    and every other character is skipped.  An explicit stack, so no call recurses."""
+    stack: list[list[CombTree]] = [[]]
+    try:
+        for ch in s:
+            if ch == "(":
+                stack.append([])
+            elif ch == ")":
+                children = stack.pop()
+                stack[-1].append(CombTree(children))
+        [[tree]] = stack
+    except (IndexError, ValueError):
+        raise MalformedCode(f"unmatched brackets, or not one tree: {s!r}") from None
     return tree
-
-
-def _parse_tree(s: str, pos: int, depth: int) -> tuple[int, CombTree]:
-    if pos >= len(s) or s[pos] != "(":
-        raise MalformedCode(f"expected '(' at position {pos}: {s!r}")
-    if depth == MAX_DEPTH:
-        raise MalformedCode(f"nesting depth exceeds {MAX_DEPTH} at position {pos}")
-    pos += 1
-    children = []
-    while pos < len(s) and s[pos] == "(":
-        pos, child = _parse_tree(s, pos, depth + 1)
-        children.append(child)
-    if pos >= len(s) or s[pos] != ")":
-        raise MalformedCode(f"expected ')' at position {pos}: {s!r}")
-    return pos + 1, CombTree(children)
 
 
 def parse_forest(s: str) -> Forest:

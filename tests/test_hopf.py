@@ -1,11 +1,12 @@
 from collections import Counter
+from contextlib import suppress
 from fractions import Fraction
 from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsetree.errors import DsetreeError
+from dsetree.errors import DsetreeError, MalformedCode
 
 from dsetree.hopf import (
     HckElem,
@@ -22,7 +23,7 @@ from dsetree.hopf import (
     product,
     tree_cuts,
 )
-from dsetree import hopf, linear, report
+from dsetree import hopf, linear, report, trees
 from dsetree.hopf import _Ids
 from dsetree.ptrees import (
     NIL,
@@ -123,7 +124,7 @@ def test_ladder_cut_count():
         ladder = CombTree([ladder])
 
 
-def test_deep_trees_spend_no_frame_per_level():
+def test_deep_trees_spend_no_frame_per_level(monkeypatch):
     # Built by the constructors, past the parsers' depth limit and the interpreter's recursion limit.
     s = identity_signature().op("s")
     ladder = NIL
@@ -135,6 +136,12 @@ def test_deep_trees_spend_no_frame_per_level():
         tall = CombTree([tall])
     assert aut_order(tall) == 1
     assert aut_order(graft(Forest([tall, tall]))) == 2
+    # Read by the parsers, with their depth limit raised past the interpreter's recursion limit.
+    monkeypatch.setattr(trees, "MAX_DEPTH", 5000)
+    assert parse_code(tall.code) == tall
+    assert parse_forest(tall.code + "*()") == Forest([tall, LEAF])
+    code = "s(" * 4999 + "|" + ")" * 4999
+    assert parse_ptree(code, identity_signature()).code == code
 
 
 def shared_coproduct(ids, x):
@@ -233,6 +240,48 @@ def test_parse_elem_refuses_huge_exponents():
     with pytest.raises(DsetreeError, match="exponent beyond 4300"):
         parse_elem("1e5000*()")
     assert parse_elem("1e3*()") == elem("1000*()")
+
+
+def test_parse_elem_refuses_unreadable_coefficients():
+    for text in ("x*()", "*()", " + 1*()", "1/0*()"):
+        with pytest.raises(MalformedCode, match="coefficient"):
+            parse_elem(text)
+
+
+NAMES = ["a", "a!", "{", "%s"]
+PIECES = ["(", ")", ",", "|", "*", " ", "1", "/0", *NAMES]
+signatures = st.lists(st.tuples(st.sampled_from(NAMES), st.integers(0, 3)), min_size=1, unique_by=lambda op: op[0]).map(
+    lambda ops: Signature(tuple(Operation(*op) for op in ops))
+)
+
+
+@st.composite
+def near_codes(draw, sig):
+    """A tree, forest or element text over ``sig`` with up to three pieces put in or taken out."""
+    comb = [f.code for f in up_to(enumerate_forests, 3)]
+    planar = [t.code for t in up_to(partial(enumerate_by_nodes, sig), 2)]
+    text = draw(st.sampled_from(planar + comb + ["1*" + c for c in comb]))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(["", *PIECES])) + text[i + draw(st.integers(0, 1)):]
+    return text
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_parsers_return_a_value_or_raise_a_package_error(data):
+    # Whatever the text, a parser reads it back from its value's code or refuses it with a DsetreeError.
+    sig = data.draw(signatures)
+    text = data.draw(st.one_of(st.lists(st.sampled_from(PIECES), max_size=15).map("".join), near_codes(sig)))
+    for parse in (parse_code, parse_forest, partial(parse_ptree, sig=sig), parse_elem):
+        try:
+            value = parse(text)
+        except DsetreeError:
+            continue
+        assert parse(value.text() if parse is parse_elem else value.code) == value
+    with suppress(DsetreeError):
+        assert parse_ptree(text, sig).code == text  # a planar code has one spelling
+
 
 def test_coproduct_grading():
     for d in range(6):

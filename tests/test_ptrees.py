@@ -1,5 +1,7 @@
+from functools import partial
+
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dsetree import ptrees
 from dsetree.dse import solve, spec_from_signature
@@ -23,6 +25,7 @@ from dsetree.ptrees import (
     parse_ptree,
     stable_signature,
 )
+from dsetree.report import up_to
 from dsetree.trees import EMPTY_FOREST, MAX_DEPTH, Forest, parse_forest
 
 BIN = binary_signature()
@@ -81,7 +84,7 @@ def test_ptree_counts_and_codec():
         parse_ptree("c(|,|)", BIN)
     with pytest.raises(MalformedCode):
         parse_ptree("b(|)", BIN)
-    # The deepest tree parsed still goes through the recursive functions.
+    # The deepest tree the parsers accept.
     ladder = parse_ptree("s(" * MAX_DEPTH + "|" + ")" * MAX_DEPTH, identity_signature())
     assert ladder.height == core(ladder).node_count == MAX_DEPTH
     assert len(coproduct(ladder).terms) == MAX_DEPTH + 1
@@ -163,6 +166,14 @@ def test_code_builder_enumerates_the_trees_codes(names, arities, n):
         # With every arity at least 2, a tree of n + 1 leaves has at most n nodes.
         trees = enumerate_by_leaves(sig, n + 1)
         assert enumerate_by_leaves(sig, n + 1, build=ptrees._codes) == [t.code for t in trees]
+
+
+@settings(max_examples=50)
+@given(st.permutations(["a", "a!", "{", "%s"]), st.lists(st.integers(0, 3), min_size=1, max_size=4))
+def test_every_enumerated_tree_parses_back_from_its_code(names, arities):
+    sig = Signature(tuple(map(Operation, names, arities)))
+    for t in up_to(partial(enumerate_by_nodes, sig), 3):
+        assert parse_ptree(t.code, sig) == t
 
 
 def test_stable_leaves_4_trees_have_no_small_arities():

@@ -178,11 +178,11 @@ def test_core_homomorphism_check_takes_one_hopf_coproduct_per_core(monkeypatch):
     assert calls.keys() == {core(t) for t in STABLE3_TREES}
 
 
-def drop_a_leaf_under_the_root(core_tree):
-    """The core of a tree with one leaf child of its root removed, where it has one."""
+def drop_a_leaf_under_the_root(comb_tree):
+    """The comb tree read off a code with one leaf child of its root removed, where it has one."""
 
-    def mutant(t):
-        kids = list(core_tree(t).children)
+    def mutant(code):
+        kids = list(comb_tree(code).children)
         if LEAF in kids:
             kids.remove(LEAF)
         return CombTree(kids)
@@ -193,7 +193,7 @@ def drop_a_leaf_under_the_root(core_tree):
 def test_core_homomorphism_check_reports_a_wrong_core(monkeypatch):
     checks = [partial(check_core_homomorphism, sig, 3) for sig in (binary_signature(), stable_signature(3))]
     with monkeypatch.context() as patch:
-        patch.setattr(ptrees, "_core_tree", drop_a_leaf_under_the_root(ptrees._core_tree))
+        patch.setattr(ptrees, "_comb_tree", drop_a_leaf_under_the_root(ptrees._comb_tree))
         for check in checks:
             assert not check().passed, check.args[0]
     assert all(check().passed for check in checks)
