@@ -168,17 +168,14 @@ def _cmd_fold_demo(args: argparse.Namespace) -> int:
     if args.demo == "nat":
         sig = ptrees.identity_signature()
         alg = wtypes.FoldAlgebra(nil_value=0, interp={"s": lambda v: v + 1})
-        ladder = ptrees.NIL
-        print(f"{ladder.code} -> {wtypes.fold(sig, alg, ladder)}")
-        for _ in range(args.n):
-            ladder = ptrees.PTree(sig.op("s"), (ladder,))
-            print(f"{ladder.code} -> {wtypes.fold(sig, alg, ladder)}")
-        return 0
-    sig = _load_signature(args.signature)
-    # node-count adds one per operation node; leaf-count adds up the nil leaves.
-    nil, per_node = (0, 1) if args.demo == "node-count" else (1, 0)
-    alg = wtypes.FoldAlgebra(nil, {op.name: (lambda *vs: per_node + sum(vs)) for op in sig.ops})
-    for t in ptrees.enumerate_by_nodes(sig, args.n):
+        shown = [t for k in range(args.n + 1) for t in ptrees.enumerate_by_nodes(sig, k)]  # s^k(|), k = 0..n
+    else:
+        sig = _load_signature(args.signature)
+        # node-count adds one per operation node; leaf-count adds up the nil leaves.
+        nil, per_node = (0, 1) if args.demo == "node-count" else (1, 0)
+        alg = wtypes.FoldAlgebra(nil, {op.name: (lambda *vs: per_node + sum(vs)) for op in sig.ops})
+        shown = ptrees.enumerate_by_nodes(sig, args.n)
+    for t in shown:
         print(f"{t.code} -> {wtypes.fold(sig, alg, t)}")
     return 0
 

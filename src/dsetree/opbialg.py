@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain, product as iproduct
+from itertools import chain
 from typing import Optional
 
 from . import hopf
@@ -53,15 +53,13 @@ class CocycleWitness:
 def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[CocycleWitness]:
     """Search for an input violating the 1-cocycle identity for a node builder.
 
-    Arguments range over slot tuples of trees with total node count up to the
-    bound; returns the first violation in deterministic order, or None.
+    Candidates are the trees of 1..``node_bound + 1`` nodes, operation by operation,
+    each node count built when the search reaches it; returns the first violation,
+    or None.  Every candidate violates it, as the cut under the root keeps the bare
+    root edge below, so the search stops at the first operation over bare edges.
     """
-    pool = up_to(partial(enumerate_by_nodes, sig), node_bound)
     for op in sig.ops:
-        for args in iproduct(pool, repeat=op.arity):
-            if sum(t.node_count for t in args) > node_bound:
-                continue
-            built = PTree(op, args)
+        for built in (t for n in range(1, node_bound + 2) for t in enumerate_by_nodes(sig, n) if t.op == op):
             lhs = coproduct(built)
             # The cocycle identity puts the empty forest, not the bare root
             # edge, below the cut under the root.
@@ -70,7 +68,7 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
                 [((Forest([built]), EMPTY_FOREST), 1)],
             ))
             if lhs != rhs:
-                return CocycleWitness(op, tuple(args), lhs, rhs)
+                return CocycleWitness(op, built.children, lhs, rhs)
     return None
 
 

@@ -12,7 +12,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product as iproduct, repeat
+from itertools import chain, combinations, product as iproduct, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
@@ -228,14 +228,15 @@ def kleene_layer(sig: Signature, k: int) -> set[PTree]:
         raise SizeLimit(f"fixpoint iteration capped at stage {MAX_HEIGHT}, got {k}")
     layer: set[PTree] = set()
     for _ in range(k):
-        nxt = {NIL}
-        for op in sig.ops:
-            for kids in iproduct(layer, repeat=op.arity):
-                nxt.add(PTree(op, kids))
-                if len(nxt) > MAX_LAYER_SIZE:
-                    raise SizeLimit(f"fixpoint stage exceeds {MAX_LAYER_SIZE} trees")
-        layer = nxt
+        if _stage_size(sig, len(layer)) > MAX_LAYER_SIZE:
+            raise SizeLimit(f"fixpoint stage exceeds {MAX_LAYER_SIZE} trees")
+        layer = {NIL, *chain.from_iterable(_nodes(op, iproduct(layer, repeat=op.arity)) for op in sig.ops)}
     return layer
+
+
+def _stage_size(sig: Signature, s: int) -> int:
+    """The size of ``1 + P(X)`` for a stage of ``s`` trees: distinct child tuples print distinct codes."""
+    return 1 + sum(s ** op.arity for op in sig.ops)
 
 
 def core(t: PTree) -> Forest:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from typing import Any, Callable, Mapping
 
 from .errors import ArityMismatch
-from .ptrees import NIL, PTree, Signature, enumerate_by_nodes, kleene_layer
+from .ptrees import NIL, PTree, Signature, _nodes, _stage_size, enumerate_by_nodes, kleene_layer
 from .report import CheckReport, check_each, up_to
 from .trees import _children_first
 
@@ -94,12 +94,8 @@ def lambek_check(sig: Signature, k: int) -> CheckReport:
     layer_k = kleene_layer(sig, k)
     layer_next = kleene_layer(sig, k + 1)
     bad: list[tuple[str, str, str]] = []
-    domain_size = 1
-    image: set[PTree] = {NIL}
-    for op in sig.ops:
-        domain_size += len(layer_k) ** op.arity
-        for kids in iproduct(sorted(layer_k), repeat=op.arity):
-            image.add(PTree(op, kids))
+    domain_size = _stage_size(sig, len(layer_k))
+    image = {NIL, *chain.from_iterable(_nodes(op, iproduct(layer_k, repeat=op.arity)) for op in sig.ops)}
     if len(image) != domain_size:
         bad.append(("structure map", f"{domain_size} distinct images", str(len(image))))
     if image != layer_next:

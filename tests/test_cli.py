@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -395,3 +396,28 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_command_quietly():
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait(timeout=60) == 0
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_capped(*args):
+    """The CLI in a child limited to 1 GB of address space, so an input that exhausts memory fails fast."""
+    return subprocess.run([sys.executable, "-m", "dsetree.cli", *args], capture_output=True, text=True,
+                          preexec_fn=_cap_address_space, timeout=60)
+
+
+def test_op_cocycle_at_a_large_bound_prints_its_witness_in_little_memory():
+    result = run_capped("check", "--law", "op-cocycle", "--signature", "stable:4", "--bound", "8")
+    assert (result.returncode, result.stderr) == (1, "")
+    assert result.stdout == "FAIL (node-builder cocycle): op=v2 args=(|, |) difference=-1*v2(|,|)(x)1 + 1*v2(|,|)(x)|\n"
+
+
+def test_lambek_refuses_a_wide_operation_before_building_its_stage(tmp_path):
+    # Stage 3 of one operation of arity 3000 would hold 1 + 2^3000 trees.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"ops": [{"name": "w", "arity": 3000}]}))
+    result = run_capped("check", "--law", "lambek", "--signature", str(path), "--bound", "2")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: fixpoint stage exceeds 200000 trees\n"

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations
@@ -27,6 +28,7 @@ from dsetree.ptrees import (
     core,
     enumerate_by_nodes,
     identity_signature,
+    list_signature,
     parse_ptree,
     stable_signature,
 )
@@ -96,6 +98,29 @@ def test_cocycle_fails_with_small_witness():
     # The same failure shows up for the unary constructor.
     unary_witness = cocycle_counterexample(identity_signature(), node_bound=2)
     assert unary_witness is not None
+
+
+Z_BEFORE_A = Signature((Operation("z", 2), Operation("a", 1)))  # signature order differs from code order
+
+
+@pytest.mark.parametrize("sig", [BIN, identity_signature(), list_signature(3), stable_signature(10), Z_BEFORE_A])
+def test_cocycle_witness_is_the_first_operation_over_bare_edges_at_every_bound(sig, tmp_path, capsys):
+    # Every candidate violates the identity, so the op-major search stops at its
+    # first one; stable:10 puts v10( before v2( in code order.
+    op = sig.ops[0]
+    built = PTree(op, (NIL,) * op.arity)
+    difference = LinComb({(Forest([built]), Forest([NIL])): 1, (Forest([built]), EMPTY_FOREST): -1})
+    for bound in range(9):
+        witness = cocycle_counterexample(sig, node_bound=bound)
+        assert (witness.op, witness.args) == (op, built.children), bound
+        assert witness.lhs - witness.rhs == difference, bound
+    path = tmp_path / "sig.json"
+    path.write_text(json.dumps({"ops": [{"name": o.name, "arity": o.arity} for o in sig.ops]}))
+    outputs = set()
+    for bound in (0, 2, 5):
+        assert main(["check", "--law", "op-cocycle", "--signature", str(path), "--bound", str(bound)]) == 1
+        outputs.add(capsys.readouterr().out)
+    assert outputs == {f"FAIL (node-builder cocycle): {witness.describe()}\n"}
 
 
 def test_bigrading_preserved():

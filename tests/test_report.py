@@ -7,7 +7,7 @@ from dsetree import hopf, opbialg, ptrees
 from dsetree.cli import main
 from dsetree.hopf import antipode, check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
-from dsetree.opbialg import check_core_homomorphism
+from dsetree.opbialg import check_core_homomorphism, check_faa_di_bruno
 from dsetree.ptrees import binary_signature, core, enumerate_by_nodes, stable_signature
 from dsetree.report import check_coassociative, up_to
 from dsetree.trees import LEAF, CombTree, Forest, enumerate_forests, parse_forest
@@ -91,16 +91,19 @@ def at_ids(mutant):
 
 # Each law check, the function its coproduct mutants replace, and the mutants it
 # must report.  The counit, antipode, cocycle and core-homomorphism laws read the
-# cut table's ids and never call hopf.coproduct, so their mutants live in
-# _Ids.forest_cuts.  A law blind to a mutant is not paired with it: the counit
-# laws ignore the cuts with both factors nonempty, and in a commutative algebra
-# the counit and antipode laws also hold for the coproduct with its factors swapped.
+# cut table's ids and never call hopf.coproduct, and the Faa di Bruno check reaches
+# the table through hopf.coproduct, so their mutants live in _Ids.forest_cuts.
+# A law blind to a mutant is not paired with it: the counit laws ignore the cuts
+# with both factors nonempty, and in a commutative algebra the counit and
+# antipode laws also hold for the coproduct with its factors swapped.
 ALL_AT_IDS = tuple(map(at_ids, (drop_one_cut, off_by_one, swap_factors)))
 LAW_CHECKS = (
     (partial(check_counit, 4), hopf._Ids, "forest_cuts", (at_ids(off_by_one),)),
     (partial(check_antipode, 4), hopf._Ids, "forest_cuts", (at_ids(drop_one_cut), at_ids(off_by_one))),
     (partial(check_cocycle, 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
     (partial(check_core_homomorphism, binary_signature(), 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
+    (partial(check_faa_di_bruno, binary_signature(), 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
+    (partial(check_faa_di_bruno, stable_signature(3), 3), hopf._Ids, "forest_cuts", ALL_AT_IDS),
 )
 
 

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
-from dsetree.errors import ArityMismatch
+from dsetree import wtypes
+from dsetree.errors import ArityMismatch, SizeLimit
 from dsetree.ptrees import (
     NIL,
     PTree,
@@ -8,6 +11,7 @@ from dsetree.ptrees import (
     enumerate_by_leaves,
     enumerate_by_nodes,
     identity_signature,
+    list_signature,
     stable_signature,
 )
 from dsetree.wtypes import (
@@ -153,3 +157,31 @@ def test_lambek_binary():
     assert report.passed
     assert report.checked == 1 + 5 ** 2  # |1 + X_3^2|
     assert lambek_check(BIN, 0).passed
+
+
+def test_lambek_refuses_an_oversized_stage_before_building_it():
+    # Stage 6 over binary would hold 1 + 677^2 trees; the refusal comes from its size alone.
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match="fixpoint stage exceeds 200000 trees"):
+        lambek_check(BIN, 5)
+    assert time.perf_counter() - start < 0.1
+
+
+def drop_the_last_tree_from_stage_two_on(kleene_layer):
+    """``kleene_layer`` with the last tree in code order removed from every stage k >= 2."""
+
+    def mutant(sig, k):
+        stage = kleene_layer(sig, k)
+        return stage - {max(stage)} if k >= 2 else stage
+
+    return mutant
+
+
+def test_lambek_check_reports_a_broken_stage(monkeypatch):
+    sigs = (BIN, IDENT, list_signature(2))
+    with monkeypatch.context() as patch:
+        patch.setattr(wtypes, "kleene_layer", drop_the_last_tree_from_stage_two_on(wtypes.kleene_layer))
+        for sig in sigs:
+            for k in range(1, 4):
+                assert not lambek_check(sig, k).passed, (sig, k)
+    assert all(lambek_check(sig, k).passed for sig in sigs for k in range(1, 4))
