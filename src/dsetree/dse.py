@@ -10,52 +10,53 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidSpec, Nonfinite, OrderExceeded
 from .hopf import HckElem, bplus, product
 from .linear import parse_scalar
 from .ptrees import SMALL_ARITIES_BY_LEAVES, Signature
-from .trees import EMPTY_FOREST
+from .trees import EMPTY_FOREST, _Frozen
 
 MAX_ORDER = 10
 
 
-@dataclass(frozen=True)
-class DSETerm:
+class DSETerm(_Frozen):
     """One summand ``w * alpha^a * B+(X^m)`` of a fixpoint equation."""
 
-    alpha_power: int
-    coeff: int | Fraction
-    x_power: int
+    __slots__ = ("alpha_power", "coeff", "x_power")
 
-    def __post_init__(self) -> None:
-        if self.alpha_power < 1:
+    def __init__(self, alpha_power: int, coeff: int | Fraction, x_power: int) -> None:
+        if type(alpha_power) is not int or type(x_power) is not int:
+            raise InvalidSpec(f"alpha_power and x_power must be integers, got {alpha_power!r} and {x_power!r}")
+        if alpha_power < 1:
             raise InvalidSpec("alpha_power must be at least 1")
-        if self.x_power < 0:
+        if x_power < 0:
             raise InvalidSpec("x_power must be nonnegative")
+        super().__init__(alpha_power, coeff, x_power)
 
 
-@dataclass(frozen=True)
-class DSESpec:
-    terms: tuple[DSETerm, ...]
-    order: int
-    name: str = ""
+class DSESpec(_Frozen):
+    __slots__ = ("terms", "order", "name")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.order <= MAX_ORDER:
+    def __init__(self, terms: Iterable[DSETerm], order: int, name: str = "") -> None:
+        if type(order) is not int:
+            raise InvalidSpec(f"order must be an integer, got {order!r}")
+        if not 0 <= order <= MAX_ORDER:
             raise InvalidSpec(f"order must lie in 0..{MAX_ORDER}")
+        super().__init__(tuple(terms), order, name)
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(_Frozen):
     """Truncated series: ``coeffs[k]`` is the alpha^k coefficient."""
 
-    coeffs: tuple[HckElem, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[HckElem, ...]) -> None:
+        super().__init__(coeffs)
 
     @property
     def order(self) -> int:

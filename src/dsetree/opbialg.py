@@ -12,7 +12,6 @@ leaf count, and their coproduct identity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain
 from typing import Optional
@@ -23,7 +22,7 @@ from .hopf import coproduct, tree_cuts
 from .linear import LinComb
 from .ptrees import Operation, PTree, Signature, by_leaves, core, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
-from .trees import EMPTY_FOREST, Forest
+from .trees import EMPTY_FOREST, Forest, _Frozen
 
 
 # Multisets of decorated trees are plain forests.  The empty forest is the
@@ -35,12 +34,11 @@ def op_counit(f: Forest) -> int:
     return 1 if f.degree == 0 else 0
 
 
-@dataclass(frozen=True)
-class CocycleWitness:
-    op: Operation
-    args: tuple[PTree, ...]
-    lhs: LinComb
-    rhs: LinComb
+class CocycleWitness(_Frozen):
+    __slots__ = ("op", "args", "lhs", "rhs")
+
+    def __init__(self, op: Operation, args: tuple[PTree, ...], lhs: LinComb, rhs: LinComb) -> None:
+        super().__init__(op, args, lhs, rhs)
 
     def describe(self) -> str:
         arg_codes = ", ".join(t.code for t in self.args)

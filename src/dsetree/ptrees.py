@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations, product as iproduct, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
 from .report import up_to
-from .trees import MAX_ENUM_NODES, Canonical, Forest, _check_depth, _comb_tree, _nesting
+from .trees import MAX_ENUM_NODES, Canonical, Forest, _Frozen, _check_depth, _comb_tree, _nesting
 
 MAX_LEAVES = 10
 MAX_HEIGHT = 9
@@ -27,34 +26,36 @@ SMALL_ARITIES_BY_LEAVES = "signature has nullary or unary operations; pass a nod
 _TOKENS = r"[^(),|]*\(|[)|]"  # a node's name and "(", a ")" or a bare edge; compiled on first use
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(_Frozen):
     """A named operation with ``arity`` ordered input slots.  Names avoid the
     codec characters, so node and leaf counts can be read off a tree's code."""
 
-    name: str
-    arity: int
+    __slots__ = ("name", "arity")
 
-    def __post_init__(self) -> None:
-        if self.arity < 0:
+    def __init__(self, name: str, arity: int) -> None:
+        if not isinstance(name, str) or type(arity) is not int:
+            raise ValueError(f"an operation has a str name and an int arity, got {name!r} and {arity!r}")
+        if arity < 0:
             raise ValueError("arities must be nonnegative")
-        if any(c in self.name for c in "(),|"):
+        if any(c in name for c in "(),|"):
             raise ValueError("operation names may not contain tree-codec characters")
         # A nameless nullary node would print as "()", the code of a
         # combinatorial leaf, and forests of both kinds may share one cut table.
-        if not self.name:
+        if not name:
             raise ValueError("operation names must be nonempty")
+        super().__init__(name, arity)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Frozen):
     """A finite list of named operations with ordered input slots."""
 
-    ops: tuple[Operation, ...]
+    __slots__ = ("ops",)
 
-    def __post_init__(self) -> None:
-        if len({op.name for op in self.ops}) != len(self.ops):
+    def __init__(self, ops: Iterable[Operation]) -> None:
+        ops = tuple(ops)  # a tuple, as the signature keys the enumeration cache
+        if len({op.name for op in ops}) != len(ops):
             raise ValueError("operation names must be unique")
+        super().__init__(ops)
 
     def op(self, name: str) -> Operation:
         for op in self.ops:

@@ -2,27 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
+from .trees import _Frozen
 
-@dataclass(frozen=True)
-class CheckReport:
+
+class CheckReport(_Frozen):
     """Outcome of an exhaustive law check.
 
     ``counterexamples`` holds ``(input, expected, actual)`` triples rendered
     as strings; it is empty exactly when ``passed`` is True.
     """
 
-    name: str
-    passed: bool
-    checked: int = 0
-    counterexamples: tuple[tuple[str, str, str], ...] = field(default_factory=tuple)
+    __slots__ = ("name", "passed", "checked", "counterexamples")
 
-    def __post_init__(self) -> None:
-        if self.passed and self.counterexamples:
+    def __init__(self, name: str, passed: bool, checked: int = 0, counterexamples: tuple = ()) -> None:
+        if passed and counterexamples:
             raise ValueError("a passing report cannot carry counterexamples")
+        super().__init__(name, passed, checked, counterexamples)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"

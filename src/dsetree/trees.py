@@ -44,6 +44,38 @@ class Canonical:
         return self.code.count("(")
 
 
+class _Frozen:
+    """A record of the fields named in ``__slots__``: equal by class and fields, never assigned after ``__init__``."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        if not hasattr(self, "_hash"):  # kept, as a signature is hashed at every lookup of the enumeration cache
+            object.__setattr__(self, "_hash", hash(self._values()))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
 class CombTree(Canonical):
     """An unordered rooted tree, stored in canonical form."""
 

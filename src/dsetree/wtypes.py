@@ -9,7 +9,6 @@ the stage-wise bijectivity of the fixpoint structure map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product as iproduct
 from typing import Any, Callable, Mapping
@@ -17,15 +16,16 @@ from typing import Any, Callable, Mapping
 from .errors import ArityMismatch
 from .ptrees import NIL, PTree, Signature, _nodes, _stage_size, enumerate_by_nodes, kleene_layer
 from .report import CheckReport, check_each, up_to
-from .trees import _children_first
+from .trees import _Frozen, _children_first
 
 
-@dataclass(frozen=True)
-class FoldAlgebra:
+class FoldAlgebra(_Frozen):
     """A nil value plus one interpretation function per operation name."""
 
-    nil_value: Any
-    interp: Mapping[str, Callable[..., Any]]
+    __slots__ = ("nil_value", "interp")
+
+    def __init__(self, nil_value: Any, interp: Mapping[str, Callable[..., Any]]) -> None:
+        super().__init__(nil_value, interp)
 
     def apply(self, op_name: str, values: list[Any]) -> Any:
         return self.interp[op_name](*values)

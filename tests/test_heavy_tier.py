@@ -22,4 +22,5 @@ def test_heavy_tier_records_exit_digest_memory_and_times(tmp_path):
     assert run["side"] == "here" and record["command"] == COMMAND and record["exit"] == 0
     assert len(record["stdout_sha256"]) == 64 and record["peak_rss_mb"] > 0
     assert record["wall_s"] >= 0 and record["calibrated_s"] >= 0
+    assert record["import_s"] > 0 and entry["here"]["import_s"] == record["import_s"]
     assert entry["here"]["runs"] == 1

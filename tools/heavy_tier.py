@@ -3,10 +3,11 @@
     python3 tools/heavy_tier.py --side before=PATH --side after=. [--runs 3] \
         [--command "check --law op-coassoc --signature stable:4 --bound 5"] [--out FILE]
 
-Every run is a fresh interpreter that imports ``dsetree`` from ``PATH/src``
-and runs one CLI command in process, with stdout captured.  The command is
-timed by ``perfbench.worker.timed`` of the checkout this script lives in, so
-each run reports wall seconds and seconds calibrated against that module's
+Every run is a fresh interpreter that imports ``dsetree.cli`` from ``PATH/src``
+and runs one CLI command in process, with stdout captured.  The import and
+the command are each timed by ``perfbench.worker.timed`` of the checkout this
+script lives in: a run reports the import's calibrated seconds (``import_s``),
+and the command's wall seconds and seconds calibrated against that module's
 probe.  A run also records its exit code, the sha256 of its stdout and its
 peak RSS (``ru_maxrss``).  Runs go one at a time; in each repetition the
 sides take turns at going first.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import resource
@@ -44,14 +46,13 @@ def run_one(src: str, command: str) -> dict:
     sys.path.insert(0, src)
     from worker import timed
 
-    import dsetree.cli
-
+    cli, _, import_s = timed(lambda: importlib.import_module("dsetree.cli"))
     out = io.StringIO()
 
     def step():
         with contextlib.redirect_stdout(out):
             try:
-                return dsetree.cli.main(command.split())
+                return cli.main(command.split())
             except SystemExit as exc:
                 return exc.code
 
@@ -59,6 +60,7 @@ def run_one(src: str, command: str) -> dict:
     return {
         "command": command,
         "exit": code,
+        "import_s": round(import_s, 4),
         "wall_s": round(wall, 3),
         "calibrated_s": round(calibrated, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
@@ -78,6 +80,7 @@ def spawn(checkout: Path, command: str) -> dict:
 
 def summary(records: list[dict]) -> dict:
     return {
+        "import_s": median(r["import_s"] for r in records),
         "calibrated_s": median(r["calibrated_s"] for r in records),
         "wall_s": median(r["wall_s"] for r in records),
         "peak_rss_mb": median(r["peak_rss_mb"] for r in records),
@@ -109,7 +112,7 @@ def main() -> int:
             for name, path in order:
                 record = spawn(Path(path), command)
                 raw.append({"side": name, "rep": rep, "result": record})
-                print(f"{name} rep {rep}: {record['calibrated_s']} s calibrated, "
+                print(f"{name} rep {rep}: import {record['import_s']} s, {record['calibrated_s']} s calibrated, "
                       f"{record['peak_rss_mb']} MB, exit {record['exit']}", file=sys.stderr)
         entry = {name: summary([r["result"] for r in raw if r["side"] == name]) for name, _ in sides}
         if len(sides) > 1:
