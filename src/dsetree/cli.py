@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import dse, hopf, opbialg, ptrees, trees, wtypes
+from . import dse, hopf, opbialg, ptrees, report, trees, wtypes
 from .errors import DsetreeError, SizeLimit
 
 MAX_NODE_BOUND = 8
@@ -32,15 +32,11 @@ def _load_signature(name: str) -> ptrees.Signature:
         return _FAMILIES[family](int(k_text) if colon else 4)
     with open(name, encoding="utf-8") as fh:
         data = json.load(fh)
-    try:
-        ops = data["ops"] if isinstance(data, dict) else None
-        if not isinstance(ops, list) or not all(
-            isinstance(op["name"], str) and type(op["arity"]) is int for op in ops
-        ):
-            raise TypeError('expected {"ops": [{"name": <string>, "arity": <int>}, ...]}')
-        return ptrees.Signature(tuple(ptrees.Operation(op["name"], op["arity"]) for op in ops))
-    except (KeyError, TypeError) as exc:
-        raise DsetreeError(f"malformed signature document {name}: {exc}") from exc
+    try:  # Operation and Signature check the fields
+        return ptrees.Signature(ptrees.Operation(op["name"], op["arity"]) for op in data["ops"])
+    except (KeyError, TypeError, ValueError) as exc:
+        shape = '{"ops": [{"name": <string>, "arity": <int>}, ...]}'
+        raise DsetreeError(f"malformed signature document {name}: {exc}; expected {shape}") from exc
 
 
 def _load_spec(name: str, order: int) -> dse.DSESpec:
@@ -132,6 +128,7 @@ _TREE_LAWS = {
     "op-coassoc": opbialg.check_op_coassociativity,
     "core-hom": opbialg.check_core_homomorphism,
     "faa-di-bruno": opbialg.check_faa_di_bruno,
+    "op-cocycle": opbialg.cocycle_counterexample,  # the first counterexample, or None
     "lambek": wtypes.lambek_check,
     "computation": lambda sig, bound: wtypes.check_computation_rules(sig, _code_algebra(sig), bound),
 }
@@ -141,21 +138,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     law = args.law
     if law in _HOPF_LAWS:
         _check_range("--degree", args.degree, MAX_NODE_BOUND)
-        report = _HOPF_LAWS[law](args.degree)
-        print(report.summary() + f" [degree <= {args.degree}]")
-        return 0 if report.passed else 1
+        result = _HOPF_LAWS[law](args.degree)
+        print(result.summary() + f" [degree <= {args.degree}]")
+        return 0 if result.passed else 1
     _check_range("--bound", args.bound, MAX_NODE_BOUND)
-    sig = _load_signature(args.signature)
-    if law == "op-cocycle":
-        witness = opbialg.cocycle_counterexample(sig, node_bound=args.bound)
-        if witness is None:
-            print(f"PASS (node-builder cocycle, bound {args.bound}): no counterexample found")
-            return 0
-        print(f"FAIL (node-builder cocycle): {witness.describe()}")
-        return 1
-    report = _TREE_LAWS[law](sig, args.bound)
-    print(report.summary() + f" [bound <= {args.bound}]")
-    return 0 if report.passed else 1
+    result = _TREE_LAWS[law](_load_signature(args.signature), args.bound)
+    if isinstance(result, report.CheckReport):
+        print(result.summary() + f" [bound <= {args.bound}]")
+        return 0 if result.passed else 1
+    if result is None:
+        print(f"PASS (node-builder cocycle, bound {args.bound}): no counterexample found")
+        return 0
+    print(f"FAIL (node-builder cocycle): {result.describe()}")
+    return 1
 
 
 def _code_algebra(sig: ptrees.Signature) -> wtypes.FoldAlgebra:
@@ -231,11 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_green)
 
     p = sub.add_parser("check", help="run an algebraic law check")
-    p.add_argument("--law", required=True, choices=[
-        "coassoc", "counit", "antipode", "cocycle",
-        "op-coassoc", "core-hom", "faa-di-bruno", "op-cocycle",
-        "lambek", "computation",
-    ])
+    p.add_argument("--law", required=True, choices=[*_HOPF_LAWS, *_TREE_LAWS])
     p.add_argument("--degree", type=int, default=4, help="degree bound for forest laws")
     p.add_argument("--bound", type=int, default=3, help="node/stage bound for tree laws")
     p.add_argument("--signature", default="binary")

@@ -36,6 +36,8 @@ class DSETerm(_Frozen):
             raise InvalidSpec("alpha_power must be at least 1")
         if x_power < 0:
             raise InvalidSpec("x_power must be nonnegative")
+        if type(coeff) is not int and not isinstance(coeff, Fraction):  # not a float, a string or a bool
+            raise InvalidSpec(f"coeff must be an int or a Fraction, got {coeff!r}")
         super().__init__(alpha_power, coeff, x_power)
 
 
@@ -176,20 +178,11 @@ BUILTIN_SPECS = {
 }
 
 
-def _integer(doc: dict, key: str) -> int:
-    value = doc[key]
-    if type(value) is not int:  # not a float, a string or a bool
-        raise InvalidSpec(f"malformed equation document: {key} must be a JSON integer, got {value!r}")
-    return value
-
-
 def spec_from_dict(data: dict, name: str = "") -> DSESpec:
+    """The equation of a JSON document; :class:`DSETerm` and :class:`DSESpec` check its integer fields."""
     try:
-        terms = tuple(
-            DSETerm(_integer(t, "alpha_power"), parse_scalar(str(t["coeff"])), _integer(t, "x_power"))
-            for t in data["terms"]
-        )
-        order = _integer(data, "order")
+        terms = tuple(DSETerm(t["alpha_power"], parse_scalar(str(t["coeff"])), t["x_power"]) for t in data["terms"])
+        order = data["order"]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidSpec(f"malformed equation document: {exc}") from exc
     return DSESpec(terms, order, name=name)

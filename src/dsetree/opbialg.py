@@ -17,7 +17,6 @@ from itertools import chain
 from typing import Optional
 
 from . import hopf
-from .errors import SizeLimit
 from .hopf import coproduct, tree_cuts
 from .linear import LinComb
 from .ptrees import Operation, PTree, Signature, by_leaves, core, enumerate_by_nodes
@@ -97,8 +96,6 @@ def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
 def green(sig: Signature, node_bound: int) -> dict[int, list[PTree]]:
     """Sum of all trees up to the node bound, graded by leaf count (:func:`by_leaves`);
     planar trees are rigid, so every automorphism weight is 1."""
-    if node_bound < 0:
-        raise SizeLimit("node bound must be nonnegative")
     return by_leaves(sig, node_bound)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
 from .report import up_to
-from .trees import MAX_ENUM_NODES, Canonical, Forest, _Frozen, _check_depth, _comb_tree, _nesting
+from .trees import MAX_ENUM_NODES, Canonical, Forest, _Frozen, _check_depth, _check_size, _comb_tree, _nesting
 
 MAX_LEAVES = 10
 MAX_HEIGHT = 9
@@ -179,10 +179,7 @@ def _graded(sig: Signature, by: str, k: int, build: Callable) -> tuple:
 
 def enumerate_by_nodes(sig: Signature, n: int, build: Callable = _nodes) -> list:
     """All trees over ``sig`` with exactly ``n`` nodes, in code order, made by ``build``."""
-    if n < 0:
-        raise ValueError("node count must be nonnegative")
-    if n > MAX_ENUM_NODES:
-        raise SizeLimit(f"node enumeration capped at {MAX_ENUM_NODES}, got {n}")
+    _check_size("node count", n, MAX_ENUM_NODES)
     return list(_graded(sig, "nodes", n, build))
 
 
@@ -195,14 +192,9 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
     Signatures with nullary or unary operations have infinitely many trees
     per leaf count, so they require it.
     """
-    if n < 0:
-        raise ValueError("leaf count must be nonnegative")
-    if n > MAX_LEAVES:
-        raise SizeLimit(f"leaf enumeration capped at {MAX_LEAVES}, got {n}")
-    if node_bound is not None and node_bound < 0:
-        raise ValueError("node bound must be nonnegative")
-    if node_bound is not None and node_bound > MAX_ENUM_NODES:
-        raise SizeLimit(f"node enumeration capped at {MAX_ENUM_NODES}, got node bound {node_bound}")
+    _check_size("leaf count", n, MAX_LEAVES)
+    if node_bound is not None:
+        _check_size("node bound", node_bound, MAX_ENUM_NODES)
     if not sig.has_small_arities():
         # The leaf grading is finite here, and smaller than the node grading up to the bound.
         trees = _graded(sig, "leaves", n - 1, build)
@@ -215,6 +207,7 @@ def enumerate_by_leaves(sig: Signature, n: int, node_bound: Optional[int] = None
 def by_leaves(sig: Signature, node_bound: int, build: Callable = _nodes) -> dict[int, list]:
     """Every tree over ``sig`` with at most ``node_bound`` nodes, made by ``build`` and
     grouped by leaf count: the counts ascending, each group in code order."""
+    _check_size("node bound", node_bound, MAX_ENUM_NODES)
     groups = defaultdict(list)
     for t in up_to(partial(enumerate_by_nodes, sig, build=build), node_bound):
         groups[getattr(t, "code", t).count("|")].append(t)
@@ -223,10 +216,7 @@ def by_leaves(sig: Signature, node_bound: int, build: Callable = _nodes) -> dict
 
 def kleene_layer(sig: Signature, k: int) -> set[PTree]:
     """The ``k``-th stage of the fixpoint iteration: all trees of height < k."""
-    if k < 0:
-        raise ValueError("stage index must be nonnegative")
-    if k > MAX_HEIGHT:
-        raise SizeLimit(f"fixpoint iteration capped at stage {MAX_HEIGHT}, got {k}")
+    _check_size("stage index", k, MAX_HEIGHT)
     layer: set[PTree] = set()
     for _ in range(k):
         if _stage_size(sig, len(layer)) > MAX_LAYER_SIZE:

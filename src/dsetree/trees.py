@@ -180,14 +180,13 @@ def aut_order(t: CombTree) -> int:
     """Order of the automorphism group of ``t``.
 
     Equals the product, over all nodes, of the factorials of the
-    multiplicities of pairwise-isomorphic child subtrees.
+    multiplicities of pairwise-isomorphic child subtrees; it is taken once
+    per distinct subtree, from the orders of its children.
     """
-    order, stack = 1, [t]
-    while stack:
-        node = stack.pop()
-        order *= prod(factorial(mult) for mult in Counter(node.children).values())
-        stack.extend(node.children)
-    return order
+    orders: dict[CombTree, int] = {}
+    for node in _children_first(t, orders.__contains__):
+        orders[node] = prod(factorial(m) * orders[c] ** m for c, m in Counter(node.children).items())
+    return orders[t]
 
 
 def _children_first(root, done, children=lambda node: node.children) -> dict:
@@ -200,6 +199,14 @@ def _children_first(root, done, children=lambda node: node.children) -> dict:
         elif node not in found and not done(node):
             stack += (node, None, *children(node)[::-1])
     return found
+
+
+def _check_size(what: str, value: int, cap: int, low: int = 0) -> None:
+    """The one size check of the enumerators: ``ValueError`` below ``low``, ``SizeLimit`` above ``cap``."""
+    if value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    if value > cap:
+        raise SizeLimit(f"{what} is capped at {cap}, got {value}")
 
 
 @lru_cache(maxsize=None)
@@ -235,19 +242,13 @@ def _forests_exact(d: int) -> tuple[Forest, ...]:
 
 def enumerate_comb_trees(n: int) -> set[CombTree]:
     """All iso-classes of rooted trees with exactly ``n`` nodes."""
-    if n < 1:
-        raise ValueError("node count must be at least 1")
-    if n > MAX_ENUM_NODES:
-        raise SizeLimit(f"tree enumeration capped at {MAX_ENUM_NODES} nodes, got {n}")
+    _check_size("node count", n, MAX_ENUM_NODES, low=1)
     return set(_trees_exact(n))
 
 
 def enumerate_forests(degree: int) -> set[Forest]:
     """All forests of exactly the given total node count."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree > MAX_ENUM_NODES:
-        raise SizeLimit(f"forest enumeration capped at degree {MAX_ENUM_NODES}, got {degree}")
+    _check_size("degree", degree, MAX_ENUM_NODES)
     if degree == 0:
         return {EMPTY_FOREST}
     return set(_forests_exact(degree))

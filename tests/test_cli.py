@@ -1,8 +1,11 @@
 import json
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -173,12 +176,20 @@ def test_malformed_signature_file_exits_2(tmp_path, capsys):
         '{"ops": [{"name": "a"}]}',
         '{"ops": [{"name": "b", "arity": 2.7}]}',
         '{"ops": [{"name": "b", "arity": true}]}',
+        # Refused by Operation and Signature, which name the reason.
+        '{"ops": [{"name": "a(", "arity": 2}]}',
+        '{"ops": [{"name": "", "arity": 2}]}',
+        '{"ops": [{"name": "a", "arity": -1}]}',
+        '{"ops": [{"name": "a", "arity": 2}, {"name": "a", "arity": 1}]}',
     ]
+    shape = '{"ops": [{"name": <string>, "arity": <int>}, ...]}'
     for i, doc in enumerate(docs):
         path = tmp_path / f"sig{i}.json"
         path.write_text(doc)
         assert cli.main(["enumerate", "--signature", str(path), "--n", "2"]) == 2, doc
-        assert "malformed signature document" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: malformed signature document {path}: ") and shape in err, err
 
 
 def test_signature_file_named_like_a_builtin_is_read(tmp_path, monkeypatch, capsys):
@@ -421,3 +432,19 @@ def test_lambek_refuses_a_wide_operation_before_building_its_stage(tmp_path):
     result = run_capped("check", "--law", "lambek", "--signature", str(path), "--bound", "2")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "error: fixpoint stage exceeds 200000 trees\n"
+
+
+def readme_cli_examples():
+    """The ``dsetree ...`` lines of the first ``sh`` block under README's ``## CLI``, comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", readme, re.M | re.S).group(1)
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("dsetree ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = [argv for argv in readme_cli_examples() if "my_equation.json" not in argv]  # no such file here
+    assert len(examples) >= 9
+    for argv in examples:
+        assert cli.main(argv[1:]) == (1 if "op-cocycle" in argv else 0), argv
+        out, err = capsys.readouterr()
+        assert out and err == "", argv

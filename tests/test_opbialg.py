@@ -100,6 +100,14 @@ def test_cocycle_fails_with_small_witness():
     assert unary_witness is not None
 
 
+def test_cocycle_search_over_no_operations_passes(tmp_path, capsys):
+    assert cocycle_counterexample(Signature(())) is None
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"ops": []}))
+    assert main(["check", "--law", "op-cocycle", "--signature", str(path)]) == 0
+    assert capsys.readouterr().out == "PASS (node-builder cocycle, bound 3): no counterexample found\n"
+
+
 Z_BEFORE_A = Signature((Operation("z", 2), Operation("a", 1)))  # signature order differs from code order
 
 

@@ -9,12 +9,14 @@ from dsetree.errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
 from dsetree.hopf import coproduct
 from dsetree.ptrees import (
     GRADED_CACHE_SIZE,
+    MAX_HEIGHT,
     MAX_LEAVES,
     NIL,
     Operation,
     PTree,
     Signature,
     binary_signature,
+    by_leaves,
     core,
     core_census,
     enumerate_by_leaves,
@@ -26,7 +28,16 @@ from dsetree.ptrees import (
     stable_signature,
 )
 from dsetree.report import up_to
-from dsetree.trees import EMPTY_FOREST, MAX_DEPTH, Forest, parse_forest
+from dsetree.opbialg import green
+from dsetree.trees import (
+    EMPTY_FOREST,
+    MAX_DEPTH,
+    MAX_ENUM_NODES,
+    Forest,
+    enumerate_comb_trees,
+    enumerate_forests,
+    parse_forest,
+)
 
 BIN = binary_signature()
 B = BIN.op("b")
@@ -207,6 +218,32 @@ def test_size_limits():
         enumerate_by_leaves(identity_signature(), 1, node_bound=13)
     with pytest.raises(SizeLimit):
         kleene_layer(BIN, 10)
+
+
+SIZE_ENTRY_POINTS = [
+    # (call, floor, cap, the quantity its messages name)
+    (enumerate_comb_trees, 1, MAX_ENUM_NODES, "node count"),
+    (enumerate_forests, 0, MAX_ENUM_NODES, "degree"),
+    (partial(enumerate_by_nodes, BIN), 0, MAX_ENUM_NODES, "node count"),
+    (partial(enumerate_by_leaves, stable_signature(4)), 0, MAX_LEAVES, "leaf count"),
+    (lambda v: enumerate_by_leaves(identity_signature(), 1, node_bound=v), 0, MAX_ENUM_NODES, "node bound"),
+    (lambda v: enumerate_by_leaves(BIN, 1, node_bound=v), 0, MAX_ENUM_NODES, "node bound"),
+    (partial(by_leaves, BIN), 0, MAX_ENUM_NODES, "node bound"),
+    (partial(green, BIN), 0, MAX_ENUM_NODES, "node bound"),
+    (partial(kleene_layer, BIN), 0, MAX_HEIGHT, "stage index"),
+]
+
+
+@pytest.mark.parametrize("call, floor, cap, what", SIZE_ENTRY_POINTS, ids=[
+    "enumerate_comb_trees", "enumerate_forests", "enumerate_by_nodes", "enumerate_by_leaves n",
+    "enumerate_by_leaves node_bound", "enumerate_by_leaves node_bound without small arities",
+    "by_leaves", "green", "kleene_layer",
+])
+def test_every_size_entry_point_refuses_one_below_its_floor_and_one_above_its_cap(call, floor, cap, what):
+    with pytest.raises(ValueError, match=f"^{what} must be at least {floor}, got {floor - 1}$"):
+        call(floor - 1)
+    with pytest.raises(SizeLimit, match=f"^{what} is capped at {cap}, got {cap + 1}$"):
+        call(cap + 1)
 
 
 def test_kleene_layers():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -190,3 +191,14 @@ def test_graft_injective(trees_list):
 @given(comb_trees)
 def test_aut_of_doubled_forest(t):
     assert aut_order(graft(Forest([t, t]))) == 2 * aut_order(t) ** 2
+
+
+def test_aut_order_is_taken_once_per_distinct_subtree():
+    # Twenty graftings of a tree onto itself: 21 distinct subtrees, 2**20 - 1 nodes
+    # with two equal children, each a swap; a walk over every occurrence takes seconds.
+    t = LEAF
+    for _ in range(20):
+        t = CombTree([t, t])
+    start = time.perf_counter()
+    assert aut_order(t) == 2 ** (2 ** 20 - 1)
+    assert time.perf_counter() - start < 1.0

@@ -118,7 +118,10 @@ def test_operation_refuses_fields_of_the_wrong_type(build):
     lambda: DSETerm(1.5, 1, 2),
     lambda: DSETerm(1, 1, 2.0),
     lambda: DSESpec((DSETerm(1, 1, 2),), 3.0),
-], ids=["float alpha_power", "float x_power", "float order"])
+    lambda: DSETerm(1, 0.1, 1),
+    lambda: DSETerm(1, "2", 1),
+    lambda: DSETerm(1, True, 1),
+], ids=["float alpha_power", "float x_power", "float order", "float coeff", "str coeff", "bool coeff"])
 def test_equation_refuses_fields_of_the_wrong_type(build):
     with pytest.raises(InvalidSpec):
         build()

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from dsetree import wtypes
+from dsetree import ptrees, wtypes
 from dsetree.errors import ArityMismatch, SizeLimit
 from dsetree.ptrees import (
     NIL,
@@ -165,6 +165,13 @@ def test_lambek_refuses_an_oversized_stage_before_building_it():
     with pytest.raises(SizeLimit, match="fixpoint stage exceeds 200000 trees"):
         lambek_check(BIN, 5)
     assert time.perf_counter() - start < 0.1
+
+
+def test_lambek_check_reports_a_miscounted_domain(monkeypatch):
+    monkeypatch.setattr(wtypes, "_stage_size", lambda sig, s: ptrees._stage_size(sig, s) + 1)
+    report = lambek_check(binary_signature(), 2)
+    assert not report.passed
+    assert report.counterexamples == (("structure map", "6 distinct images", "5"),)
 
 
 def drop_the_last_tree_from_stage_two_on(kleene_layer):
