@@ -76,6 +76,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.signature == "comb":
         if args.by != "nodes":
             raise SystemExit(_usage_error("combinatorial trees are enumerated by nodes"))
+        _check_range("--n", args.n, MAX_NODE_BOUND, " for comb", low=1)
         codes = sorted(t.code for t in trees.enumerate_comb_trees(args.n))
     else:
         sig = _signature_for_enumeration(args)
@@ -179,9 +180,9 @@ def _check_enum_bounds(args: argparse.Namespace) -> None:
     _check_range("--n", args.n, ptrees.MAX_LEAVES if args.by == "leaves" else MAX_NODE_BOUND, f" for {args.by}")
 
 
-def _check_range(flag: str, value: int, bound: int, suffix: str = "") -> None:
-    if not 0 <= value <= bound:
-        raise SystemExit(_usage_error(f"{flag} must lie in 0..{bound}{suffix}"))
+def _check_range(flag: str, value: int, bound: int, suffix: str = "", low: int = 0) -> None:
+    if not low <= value <= bound:
+        raise SystemExit(_usage_error(f"{flag} must lie in {low}..{bound}{suffix}"))
 
 
 def _usage_error(message: str) -> int:

@@ -3,7 +3,8 @@
 Equations have the shape ``X = 1 + sum_t w * alpha^a * B+(X^m)`` with the
 grafting operator as the constructor; the solution is a truncated formal
 series in the coupling ``alpha`` with forest-combination coefficients,
-computed by induction on the order.
+computed by induction on the order in ints, on the forest ids of one table
+per call; forests and Fractions are built only for the returned series.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidSpec, Nonfinite, OrderExceeded
-from .hopf import HckElem, bplus, product
-from .linear import parse_scalar
+from .hopf import HckElem, _Ids
+from .linear import add_up, parse_scalar
 from .ptrees import SMALL_ARITIES_BY_LEAVES, Signature
-from .trees import EMPTY_FOREST, _Frozen
+from .trees import _Frozen
 
 MAX_ORDER = 10
 
@@ -50,6 +51,8 @@ class DSESpec(_Frozen):
         if not 0 <= order <= MAX_ORDER:
             raise InvalidSpec(f"order must lie in 0..{MAX_ORDER}")
         super().__init__(tuple(terms), order, name)
+        if not all(isinstance(term, DSETerm) for term in self.terms):
+            raise InvalidSpec(f"terms must be DSETerm values, got {self.terms!r}")
 
 
 class Series(_Frozen):
@@ -77,68 +80,75 @@ def series_coefficient(s: Series, k: int) -> HckElem:
 def series_power(s: Series, m: int, j: int) -> HckElem:
     """Degree-``j`` coefficient of the ``m``-th power of ``s``."""
     series_coefficient(s, j)  # OrderExceeded past the truncation order
-    return _power_coefficient(s.coeffs, m, j)
+    ids, coeffs = _numbered(s)
+    return ids.elem(_power_coefficient(ids, coeffs, m, j, {}))
 
 
-def _power_coefficient(coeffs: Sequence[HckElem], m: int, j: int, memo: dict | None = None) -> HckElem:
+def _numbered(s: Series) -> tuple[_Ids, list[dict]]:
+    """A new id table, and the coefficients of ``s`` as dicts from forest id to coefficient."""
+    ids = _Ids()
+    return ids, [{ids.forest(f): c for f, c in x.terms.items()} for x in s.coeffs]
+
+
+def _power_coefficient(ids: _Ids, coeffs: Sequence[dict], m: int, j: int, memo: dict) -> dict:
     # The binomial theorem with X = c_0 + Y: [X^m]_j = sum_{i <= min(m, j)} C(m, i) c_0^(m-i) [Y^i]_j,
     # whose work does not grow with m; [Y^i]_j needs only c_1..c_j, so one memo serves a whole solve.
-    memo = {} if memo is None else memo
-    return HckElem.sum(
-        (forest, comb(m, i) * c)
+    return add_up(
+        (n, comb(m, i) * c)
         for i in range(min(m, j) + 1)
-        for forest, c in _times_power(coeffs[0], m - i, _y_power(coeffs, i, j, memo)).terms.items()
+        for n, c in _times_power(ids, coeffs[0], m - i, _y_power(ids, coeffs, i, j, memo)).items()
     )
 
 
-def _y_power(coeffs: Sequence[HckElem], i: int, j: int, memo: dict) -> HckElem:
+def _y_power(ids: _Ids, coeffs: Sequence[dict], i: int, j: int, memo: dict) -> dict:
     """[Y^i]_j = sum_l c_l [Y^(i-1)]_(j-l); l stops at j - i + 1, as [Y^(i-1)] starts at degree i - 1."""
     if i == 0:
-        return HckElem.one() if j == 0 else HckElem.zero()
+        return {ids.number(()): 1} if j == 0 else {}
     if (i, j) not in memo:
-        memo[i, j] = HckElem.sum(chain.from_iterable(
-            product(coeffs[l], _y_power(coeffs, i - 1, j - l, memo)).terms.items() for l in range(1, j - i + 2)
+        memo[i, j] = add_up(chain.from_iterable(
+            ids.product(coeffs[l], _y_power(ids, coeffs, i - 1, j - l, memo)).items() for l in range(1, j - i + 2)
         ))
     return memo[i, j]
 
 
-def _times_power(x: HckElem, n: int, y: HckElem) -> HckElem:
+def _times_power(ids: _Ids, x: dict, n: int, y: dict) -> dict:
     """``x`` to the ``n`` times ``y``, squaring ``x``: O(log n) products, none when ``x`` is the unit."""
-    if n == 0 or x == HckElem.one():
+    if n == 0 or x == {ids.number(()): 1}:
         return y
-    return _times_power(product(x, x), n // 2, product(x, y) if n % 2 else y)
+    return _times_power(ids, ids.product(x, x), n // 2, ids.product(x, y) if n % 2 else y)
 
 
-def _rhs(spec: DSESpec, coeffs: Sequence[HckElem], k: int, memo: dict) -> HckElem:
-    """alpha^k coefficient of the equation's right-hand side.
-
-    ``coeffs`` holds at least the coefficients c_0..c_{k-1} of ``X``.
-    """
-    return HckElem.sum(chain(
-        [(EMPTY_FOREST, 1)] if k == 0 else [],
+def _rhs(ids: _Ids, terms: Sequence[DSETerm], coeffs: Sequence[dict], k: int, memo: dict) -> dict:
+    """alpha^k coefficient of ``1 + sum_t w * alpha^a * B+(X^m)`` over ``terms``; ``coeffs`` holds c_0..c_{k-1}."""
+    return add_up(chain(
+        [(ids.number(()), 1)] if k == 0 else [],
         (
-            (forest, term.coeff * c)
-            for term in spec.terms
+            (n, term.coeff * c)
+            for term in terms
             if k >= term.alpha_power
-            for forest, c in bplus(_power_coefficient(coeffs, term.x_power, k - term.alpha_power, memo)).terms.items()
+            for n, c in ids.bplus(_power_coefficient(ids, coeffs, term.x_power, k - term.alpha_power, memo)).items()
         ),
     ))
 
 
 def solve(spec: DSESpec) -> Series:
-    """Unique order-by-order solution of the fixpoint equation."""
-    # Every alpha_power is at least 1, so c_k depends only on c_0..c_{k-1}.
-    coeffs: list[HckElem] = []
-    memo: dict = {}
+    """Unique order-by-order solution of the fixpoint equation, worked out in ints on the forest ids of one
+    table: with ``alpha = d * gamma``, ``d`` the lcm of the weights' denominators, each weight becomes the int
+    ``w * d^a`` and the gamma^k coefficient ``e_k = d^k c_k`` is integral; only the returned ``c_k`` are Fractions."""
+    # Every alpha_power is at least 1, so e_k depends only on e_0..e_{k-1}; terms past the order never enter.
+    used = [t for t in spec.terms if t.alpha_power <= spec.order]
+    d = lcm(*(t.coeff.denominator for t in used))
+    terms = [DSETerm(t.alpha_power, int(t.coeff * d**t.alpha_power), t.x_power) for t in used]
+    ids, coeffs, memo = _Ids(), [], {}
     for k in range(spec.order + 1):
-        coeffs.append(_rhs(spec, coeffs, k, memo))
-    return Series(tuple(coeffs))
+        coeffs.append(_rhs(ids, terms, coeffs, k, memo))
+    return Series(tuple(ids.elem(e, d**k) for k, e in enumerate(coeffs)))
 
 
 def residual(spec: DSESpec, s: Series) -> list[HckElem]:
-    """Per-order difference between ``s`` and the equation's right-hand side."""
-    memo: dict = {}
-    return [s.coeffs[k] - _rhs(spec, s.coeffs, k, memo) for k in range(s.order + 1)]
+    """Per-order difference between ``s`` and the equation's right-hand side, on the coefficients as given."""
+    (ids, coeffs), memo = _numbered(s), {}
+    return [c - ids.elem(_rhs(ids, spec.terms, coeffs, k, memo)) for k, c in enumerate(s.coeffs)]
 
 
 def linear_spec(order: int) -> DSESpec:

@@ -4,24 +4,25 @@ Elements are finite rational-linear combinations of forests; the product is
 multiset union of forests, the coproduct sums over admissible cuts (the
 root-containing subtree below, the forest of upper pieces above), and the
 antipode is the cancellation-free forest formula: a sum over every set of
-edges, signed by the number of pieces left.  All coefficients are exact
+edges, signed by the number of pieces left.  Public results hold exact
 :class:`fractions.Fraction` values.  The cut enumeration and the coproduct
 also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
-a call: each call or law check fills one cut table (:class:`_Ids`) of its own,
-and a law check reads its coproduct and antipode off the table's int ids.
+a call: each call, law check or solve fills one table (:class:`_Ids`) of its
+own, and reads coproducts, antipodes, products and grafts off its int ids.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
 from .errors import MalformedCode
-from .linear import LinComb, Scalar, parse_scalar
+from .linear import LinComb, Scalar, add_up, parse_scalar
 from .ptrees import NIL, PTree
 from .report import CheckReport, check_coassociative, check_each, up_to
-from .trees import EMPTY_FOREST, CombTree, Forest, _children_first, enumerate_forests, graft, parse_forest
+from .trees import EMPTY_FOREST, LEAF, CombTree, Forest, _children_first, enumerate_forests, graft, parse_forest
 
 # Elements and tensors of the Hopf algebra are both linear combinations.
 HckElem = LinComb
@@ -103,6 +104,15 @@ class _Ids:
         """The id of the forest object ``f``."""
         return self.number(tuple(sorted(map(self.tree, f.trees))))
 
+    def product(self, x: dict, y: dict) -> dict:
+        """Multiset union on elements keyed by forest ids, extended bilinearly; zero sums are dropped."""
+        keys, number = self.keys, self.number
+        return add_up((number(tuple(sorted(keys[f] + keys[g]))), c * d) for f, c in x.items() for g, d in y.items())
+
+    def bplus(self, x: dict) -> dict:
+        """Grafting on elements keyed by forest ids: each forest goes under a new comb root."""
+        return {self.number((self.number(("", *self.keys[f]), LEAF),)): c for f, c in x.items()}
+
     def delta(self, n: int) -> Counter:
         """How often each (upper, lower) forest id pair is a cut of forest ``n``."""
         return self.forest_cuts(self.keys[n])
@@ -138,9 +148,10 @@ class _Ids:
             ]
         return self.pieces[n]
 
-    def text(self, terms: dict) -> str:
-        """Terms keyed by forest ids or by (upper, lower) id pairs, printed as :meth:`LinComb.text` prints them."""
-        return LinComb({self.obj(k) if type(k) is int else tuple(map(self.obj, k)): c for k, c in terms.items()}).text()
+    def elem(self, terms: dict, den: int = 1) -> LinComb:
+        """Terms keyed by forest ids or by (upper, lower) id pairs, over ``den``, as a :class:`LinComb`."""
+        obj = self.obj
+        return LinComb({obj(k) if type(k) is int else tuple(map(obj, k)): Fraction(c, den) for k, c in terms.items()})
 
 
 def tree_cuts(t) -> tuple[tuple[Forest, Forest], ...]:
@@ -217,7 +228,7 @@ def check_cocycle(degree_bound: int) -> CheckReport:
         for (upper, lower), c in ids.delta(n).items():
             rhs[upper, planted(lower)] += c
         lhs = ids.delta(planted(n))
-        return None if lhs == rhs else (ids.text(rhs), ids.text(lhs))
+        return None if lhs == rhs else (ids.elem(rhs).text(), ids.elem(lhs).text())
 
     return check_each("cocycle", up_to(enumerate_forests, degree_bound), law)
 
@@ -240,7 +251,7 @@ def check_counit(degree_bound: int) -> CheckReport:
         right = Counter({upper: c for (upper, lower), c in delta if lower == empty})
         expected = Counter({n: 1})
         if left != expected or right != expected:
-            return (ids.text(expected), f"left={ids.text(left)} right={ids.text(right)}")
+            return (ids.elem(expected).text(), f"left={ids.elem(left).text()} right={ids.elem(right).text()}")
         return None
 
     return check_each("counit", up_to(enumerate_forests, degree_bound), law)

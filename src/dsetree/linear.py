@@ -1,9 +1,9 @@
 """Finite rational-linear combinations of forests and of tuples of forests.
 
 One type serves both the rooted-forest Hopf algebra and the operadic-tree
-bialgebra: its keys are :class:`Forest` values (elements of the free
-commutative algebra on trees) or tuples of them (tensors).  Coefficients are
-exact :class:`fractions.Fraction` values and zero terms are never stored.
+bialgebra at their boundary: keys are :class:`Forest` values or tuples of them
+(tensors), and coefficients exact :class:`fractions.Fraction` values, never 0.
+Inside, terms keyed by int ids (see ``hopf._Ids``) are summed with :func:`add_up`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Hashable, Iterable, Mapping, Union
 
 from .errors import SizeLimit
 from .trees import EMPTY_FOREST, CombTree, Forest
@@ -31,6 +31,14 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(text)
 
 
+def add_up(pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
+    """Add up ``(key, coefficient)`` pairs into a dict, dropping the keys whose sum is zero."""
+    acc: dict = {}
+    for k, c in pairs:
+        acc[k] = acc[k] + c if k in acc else c
+    return {k: c for k, c in acc.items() if c}
+
+
 def _factors(key: Key) -> tuple[Forest, ...]:
     return (key,) if isinstance(key, Forest) else key
 
@@ -47,13 +55,7 @@ class LinComb:
     @staticmethod
     def sum(pairs: Iterable[tuple[Key, Scalar]]) -> "LinComb":
         """Add up ``(key, coefficient)`` pairs; keys whose sum is zero are dropped."""
-        acc: dict[Key, Scalar] = {}
-        for k, c in pairs:
-            if k in acc:
-                acc[k] += c
-            else:
-                acc[k] = c
-        return LinComb(acc)
+        return LinComb(add_up(pairs))
 
     @staticmethod
     def zero() -> "LinComb":

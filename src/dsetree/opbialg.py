@@ -87,7 +87,7 @@ def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
         flat = ids.tree_cuts(ids.tree(t))  # upper and lower in turn; first the forest of t over the root edge
         lhs = Counter(zip(map(core_of, flat[::2]), map(core_of, flat[1::2])))
         rhs = hopf_side(core_of(flat[0]))
-        return None if lhs == rhs else (ids.text(rhs), ids.text(lhs))
+        return None if lhs == rhs else (ids.elem(rhs).text(), ids.elem(lhs).text())
 
     trees = up_to(partial(enumerate_by_nodes, sig), node_bound)
     return check_each("core homomorphism", trees, law)

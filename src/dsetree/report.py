@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
+from .linear import add_up
 from .trees import _Frozen
 
 
@@ -81,14 +82,9 @@ def check_coassociative(
             for (b1, b2), c2 in delta(b).items():
                 key = (a, b1, b2)
                 right[key] = right.get(key, 0) + c * c2
-        # Terms may cancel to zero; compare the nonzero parts only when the
-        # raw sums differ.
-        if left != right and _nonzero(left) != _nonzero(right):
+        # Terms may cancel to zero: compare the nonzero parts only when the raw sums differ.
+        if left != right and add_up(left.items()) != add_up(right.items()):
             return ("(Id x D)D", "(D x Id)D")
         return None
 
     return check_each(name, inputs, law)
-
-
-def _nonzero(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if v}

@@ -334,6 +334,7 @@ def test_enumerating_commands_hit_the_cache_when_repeated(capsys):
          "--node-bound must lie in 0..8"),
         (["enumerate", "--signature", "binary", "--by", "leaves", "--n", "11"], "--n must lie in 0..10 for leaves"),
         (["enumerate", "--signature", "binary", "--n", "-1"], "--n must lie in 0..8 for nodes"),
+        (["enumerate", "--signature", "comb", "--n", "0"], "--n must lie in 1..8 for comb"),
         (["census", "--signature", "binary", "--n", "9"], "--n must lie in 0..8 for nodes"),
         (["green", "--signature", "binary", "--bound", "9"], "--bound must lie in 0..8"),
         (["check", "--law", "coassoc", "--degree", "-1"], "--degree must lie in 0..8"),

@@ -11,7 +11,6 @@ from dsetree.dse import (
     DSESpec,
     Series,
     DSETerm,
-    _power_coefficient,
     geometric_spec,
     linear_spec,
     load_spec,
@@ -24,9 +23,10 @@ from dsetree.dse import (
     spec_from_signature,
 )
 from dsetree.errors import InvalidSpec, Nonfinite, OrderExceeded
-from dsetree.hopf import HckElem, coproduct, parse_elem, product
-from dsetree.linear import LinComb
+from dsetree.hopf import HckElem, _Ids, bplus, coproduct, parse_elem, product
+from dsetree.linear import LinComb, add_up
 from dsetree.ptrees import Operation, Signature, core_census, list_signature, stable_signature
+from dsetree.trees import parse_forest
 
 
 def catalan(n):
@@ -129,37 +129,76 @@ def test_series_power_with_a_non_unit_constant_term():
             assert series_power(series, m, j) == naive_power(series.coeffs, m, j), (m, j)
 
 
+def reference_solution(spec):
+    """c_0..c_order worked out order by order in LinComb arithmetic, with powers by plain convolution."""
+    coeffs = []
+    for k in range(spec.order + 1):
+        c = HckElem.one() if k == 0 else HckElem.zero()
+        for t in spec.terms:
+            if k >= t.alpha_power:
+                c = c + bplus(naive_power(coeffs, t.x_power, k - t.alpha_power)).scale(t.coeff)
+        coeffs.append(c)
+    return coeffs
+
+
+# ints and Fractions over distinct denominators, of either sign; zero weights stay in.
+mixed_weights = st.builds(
+    lambda n, d: Fraction(n, d) if d > 1 else n, st.integers(-5, 5), st.sampled_from([1, 2, 3, 4, 7, 9, 10])
+)
+raw_terms = st.lists(st.tuples(st.integers(1, 3), mixed_weights, st.integers(0, 3)), max_size=4)
+
+
+@given(raw_terms, st.booleans(), st.integers(0, 5))
+def test_integer_solve_equals_a_lincomb_reference(raw, cancel, order):
+    # solve rescales the coupling and works in ints on forest ids; the reference shares none of that code.
+    if cancel and raw:
+        a, w, m = raw[0]
+        raw.append((a, -w, m))  # a term that cancels the first
+    spec = DSESpec(tuple(DSETerm(*t) for t in raw), order)
+    series = solve(spec)
+    assert list(series.coeffs) == reference_solution(spec)
+    assert all(type(c) is Fraction for x in series.coeffs for c in x.terms.values())
+
+
+def test_a_tiny_coefficient_solves_exactly():
+    spec = DSESpec((DSETerm(1, Fraction("1e-400"), 2), DSETerm(2, Fraction(-2, 3), 1)), 6)
+    series = solve(spec)
+    # Only six alpha^1 grafts make the ladder of six nodes, each doubling it through X^2.
+    assert series.coeffs[6].terms[parse_forest("(((((())))))")] == 2**5 * Fraction("1e-400") ** 6
+    assert all(r.is_zero() for r in residual(spec, series))
+
+
 def test_solve_work_is_bounded_by_one_memo(monkeypatch):
     # At order 10 the memo holds at most the 55 entries [Y^i]_j, 1 <= i <= j <= 10, and
     # [Y^i]_j takes j - i + 1 products: at most sum_{d <= 10} d(d+1)/2 = 220 in all.
     calls, memos = [], []
-    original_product, original_power = LinComb.product, dse._power_coefficient
+    original_product, original_power = _Ids.product, dse._power_coefficient
 
-    def counted_product(x, y):
+    def counted_product(ids, x, y):
         calls.append(None)
-        return original_product(x, y)
+        return original_product(ids, x, y)
 
-    def recorded_power(coeffs, m, j, memo=None):
+    def recorded_power(ids, coeffs, m, j, memo):
         memos.append(memo)
-        return original_power(coeffs, m, j, memo)
+        return original_power(ids, coeffs, m, j, memo)
 
-    monkeypatch.setattr(LinComb, "product", counted_product)
+    monkeypatch.setattr(_Ids, "product", counted_product)
     monkeypatch.setattr(dse, "_power_coefficient", recorded_power)
     solve(geometric_spec(10))
-    assert len(calls) <= 220
+    assert 0 < len(calls) <= 220
     assert len({id(memo) for memo in memos}) == 1
     assert len(memos[0]) <= 55
 
 
-def y_power_without_last_l(coeffs, i, j, memo):
+def y_power_without_last_l(ids, coeffs, i, j, memo):
     # Mutant of dse._y_power: the sum over l stops one short.
     if i == 0:
-        return HckElem.one() if j == 0 else HckElem.zero()
+        return {ids.number(()): 1} if j == 0 else {}
     if (i, j) not in memo:
-        memo[i, j] = HckElem.sum(
+        memo[i, j] = add_up(
             term
             for l in range(1, j - i + 1)
-            for term in product(coeffs[l], dse._y_power(coeffs, i - 1, j - l, memo)).terms.items()
+            for term in ids.product(coeffs[l], dse._y_power(ids, coeffs, i - 1, j - l, memo)).items()
         )
     return memo[i, j]
 
@@ -201,6 +240,14 @@ def test_huge_x_power_takes_logarithmic_work():
     series = solve(spec)
     assert time.perf_counter() - start < 1.0
     assert series.coeffs[3].text() == "1000000000000000000*((())) + 499999999500000000*(()())"
+
+
+def test_a_term_past_the_order_is_never_rescaled():
+    kept = (DSETerm(1, Fraction(1, 3), 2), DSETerm(2, Fraction(-5, 7), 1))
+    start = time.perf_counter()
+    series = solve(DSESpec((*kept, DSETerm(10**9, Fraction(1, 2), 1)), 3))
+    assert time.perf_counter() - start < 1.0
+    assert series == solve(DSESpec(kept, 3))
 
 
 def test_order_exceeded():
@@ -279,11 +326,12 @@ def test_core_census_is_the_equation_coefficient(sig, n):
 
 def subalgebra_defect(coeffs, s):
     """First n at which coproduct(c_n) differs from sum_{k<=n} [X^{ks+1}]_{n-k} (x) c_k, or None."""
+    series = Series(coeffs)
     for n, c_n in enumerate(coeffs):
         expected = LinComb.sum(
             ((f, g), c * d)
             for k in range(n + 1)
-            for f, c in _power_coefficient(coeffs, k * s + 1, n - k).terms.items()
+            for f, c in series_power(series, k * s + 1, n - k).terms.items()
             for g, d in coeffs[k].terms.items()
         )
         if coproduct(c_n) != expected:

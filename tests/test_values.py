@@ -121,7 +121,8 @@ def test_operation_refuses_fields_of_the_wrong_type(build):
     lambda: DSETerm(1, 0.1, 1),
     lambda: DSETerm(1, "2", 1),
     lambda: DSETerm(1, True, 1),
-], ids=["float alpha_power", "float x_power", "float order", "float coeff", "str coeff", "bool coeff"])
+    lambda: DSESpec(("x",), 1),
+], ids=["float alpha_power", "float x_power", "float order", "float coeff", "str coeff", "bool coeff", "str term"])
 def test_equation_refuses_fields_of_the_wrong_type(build):
     with pytest.raises(InvalidSpec):
         build()
