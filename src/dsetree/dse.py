@@ -80,14 +80,8 @@ def series_coefficient(s: Series, k: int) -> HckElem:
 def series_power(s: Series, m: int, j: int) -> HckElem:
     """Degree-``j`` coefficient of the ``m``-th power of ``s``."""
     series_coefficient(s, j)  # OrderExceeded past the truncation order
-    ids, coeffs = _numbered(s)
-    return ids.elem(_power_coefficient(ids, coeffs, m, j, {}))
-
-
-def _numbered(s: Series) -> tuple[_Ids, list[dict]]:
-    """A new id table, and the coefficients of ``s`` as dicts from forest id to coefficient."""
     ids = _Ids()
-    return ids, [{ids.forest(f): c for f, c in x.terms.items()} for x in s.coeffs]
+    return ids.elem(_power_coefficient(ids, list(map(ids.numbered, s.coeffs)), m, j, {}))
 
 
 def _power_coefficient(ids: _Ids, coeffs: Sequence[dict], m: int, j: int, memo: dict) -> dict:
@@ -123,10 +117,10 @@ def _rhs(ids: _Ids, terms: Sequence[DSETerm], coeffs: Sequence[dict], k: int, me
     return add_up(chain(
         [(ids.number(()), 1)] if k == 0 else [],
         (
-            (n, term.coeff * c)
+            (ids.graft(n), term.coeff * c)
             for term in terms
             if k >= term.alpha_power
-            for n, c in ids.bplus(_power_coefficient(ids, coeffs, term.x_power, k - term.alpha_power, memo)).items()
+            for n, c in _power_coefficient(ids, coeffs, term.x_power, k - term.alpha_power, memo).items()
         ),
     ))
 
@@ -147,7 +141,8 @@ def solve(spec: DSESpec) -> Series:
 
 def residual(spec: DSESpec, s: Series) -> list[HckElem]:
     """Per-order difference between ``s`` and the equation's right-hand side, on the coefficients as given."""
-    (ids, coeffs), memo = _numbered(s), {}
+    ids = _Ids()
+    coeffs, memo = list(map(ids.numbered, s.coeffs)), {}
     return [c - ids.elem(_rhs(ids, spec.terms, coeffs, k, memo)) for k, c in enumerate(s.coeffs)]
 
 

@@ -22,7 +22,7 @@ from .errors import MalformedCode
 from .linear import LinComb, Scalar, add_up, parse_scalar
 from .ptrees import NIL, PTree
 from .report import CheckReport, check_coassociative, check_each, up_to
-from .trees import EMPTY_FOREST, LEAF, CombTree, Forest, _children_first, enumerate_forests, graft, parse_forest
+from .trees import EMPTY_FOREST, LEAF, CombTree, Forest, _children_first, enumerate_forests, parse_forest
 
 # Elements and tensors of the Hopf algebra are both linear combinations.
 HckElem = LinComb
@@ -31,7 +31,7 @@ HckTensor = LinComb
 
 def product(x: HckElem, y: HckElem) -> HckElem:
     """Bilinear extension of multiset union of forests."""
-    return x.product(y)
+    return HckElem.sum((f.union(g), c * d) for f, c in x.terms.items() for g, d in y.terms.items())
 
 
 class _Ids:
@@ -39,8 +39,8 @@ class _Ids:
 
     A forest's key is the sorted tuple of its members' ids; a tree's is its operation
     name (``""`` for a comb tree, ``"|"`` for the bare edge) and its child ids, sorted
-    for a comb tree.  A tree's proto is a tree of the same kind and root label.  Law
-    checks run on ids (:meth:`delta`) and build objects (:meth:`obj`) only to print.
+    for a comb tree.  A tree's proto is a tree of the same kind and root label.  A
+    :class:`LinComb` enters only through :meth:`numbered` and leaves only through :meth:`elem`.
     """
 
     def __init__(self):
@@ -104,14 +104,18 @@ class _Ids:
         """The id of the forest object ``f``."""
         return self.number(tuple(sorted(map(self.tree, f.trees))))
 
+    def numbered(self, x: LinComb) -> dict:
+        """The terms of ``x`` keyed by forest ids."""
+        return {self.forest(f): c for f, c in x.terms.items()}
+
     def product(self, x: dict, y: dict) -> dict:
         """Multiset union on elements keyed by forest ids, extended bilinearly; zero sums are dropped."""
         keys, number = self.keys, self.number
         return add_up((number(tuple(sorted(keys[f] + keys[g]))), c * d) for f, c in x.items() for g, d in y.items())
 
-    def bplus(self, x: dict) -> dict:
-        """Grafting on elements keyed by forest ids: each forest goes under a new comb root."""
-        return {self.number((self.number(("", *self.keys[f]), LEAF),)): c for f, c in x.items()}
+    def graft(self, f: int) -> int:
+        """The id of the one-tree forest that grafts the members of forest ``f`` under a new comb root."""
+        return self.number((self.number(("", *self.keys[f]), LEAF),))
 
     def delta(self, n: int) -> Counter:
         """How often each (upper, lower) forest id pair is a cut of forest ``n``."""
@@ -150,8 +154,9 @@ class _Ids:
 
     def elem(self, terms: dict, den: int = 1) -> LinComb:
         """Terms keyed by forest ids or by (upper, lower) id pairs, over ``den``, as a :class:`LinComb`."""
-        obj = self.obj
-        return LinComb({obj(k) if type(k) is int else tuple(map(obj, k)): Fraction(c, den) for k, c in terms.items()})
+        obj = self.obj  # LinComb makes an int coefficient a Fraction and keeps a Fraction as it is
+        terms = terms if den == 1 else {k: Fraction(c, den) for k, c in terms.items()}
+        return LinComb({obj(k) if type(k) is int else tuple(map(obj, k)): c for k, c in terms.items()})
 
 
 def tree_cuts(t) -> tuple[tuple[Forest, Forest], ...]:
@@ -177,8 +182,7 @@ def coproduct(x) -> HckTensor:
     ids = _Ids()
     if not isinstance(x, LinComb):
         x = LinComb.from_forest(x if isinstance(x, Forest) else Forest([x]))
-    cuts = ((c, ids.forest_cuts(map(ids.tree, f.trees))) for f, c in x.terms.items())
-    return HckTensor.sum(((ids.obj(u), ids.obj(l)), n * c) for c, pairs in cuts for (u, l), n in pairs.items())
+    return ids.elem(add_up((pair, n * c) for f, c in ids.numbered(x).items() for pair, n in ids.delta(f).items()))
 
 
 def counit(x: HckElem) -> Scalar:
@@ -186,16 +190,25 @@ def counit(x: HckElem) -> Scalar:
     return x.terms.get(EMPTY_FOREST, 0)
 
 
+def _check_comb(name: str, x: HckElem) -> None:
+    """A ``TypeError`` naming ``name`` for the first member of a forest of ``x`` that is not a comb tree."""
+    for t in (t for f in x.terms for t in f.trees if type(t) is not CombTree):
+        raise TypeError(f"{name} takes combinations of comb-tree forests, got the member {t.code}")
+
+
 def antipode(x: HckElem) -> HckElem:
-    """Convolution inverse of the identity: over every set of edges of each
-    forest, the product of the pieces left, signed (-1) to their number."""
+    """Convolution inverse of the identity: over every set of edges of each comb forest, the product of the
+    pieces left, signed (-1) to their number.  Decorated forests have none: nodeless ones span degree 0."""
+    _check_comb("antipode", x)
     ids = _Ids()
-    return HckElem.sum((ids.obj(n), a * c) for f, a in x.terms.items() for n, c in ids.antipode(ids.forest(f)).items())
+    return ids.elem(add_up((n, a * c) for f, a in ids.numbered(x).items() for n, c in ids.antipode(f).items()))
 
 
 def bplus(x: HckElem) -> HckElem:
-    """Linear extension of grafting a forest under a new root."""
-    return HckElem.sum((Forest([graft(forest)]), coeff) for forest, coeff in x.terms.items())
+    """Linear extension of grafting a comb forest under a new root."""
+    _check_comb("bplus", x)
+    ids = _Ids()
+    return ids.elem({ids.graft(f): c for f, c in ids.numbered(x).items()})
 
 
 def parse_elem(s: str) -> HckElem:
@@ -220,7 +233,7 @@ def check_cocycle(degree_bound: int) -> CheckReport:
     """Verify the 1-cocycle identity for grafting on all small forests."""
     ids = _Ids()
     empty = ids.number(())
-    planted = cache(lambda n: ids.number((ids.tree(graft(ids.obj(n))),)))  # forest id -> its graft's forest id
+    planted = cache(ids.graft)
 
     def law(f: Forest):
         n = ids.forest(f)
@@ -260,13 +273,13 @@ def check_counit(degree_bound: int) -> CheckReport:
 def check_antipode(degree_bound: int) -> CheckReport:
     """Verify m(S x Id)coproduct = unit*counit on all small forests."""
     ids = _Ids()
-    antipode_of = cache(lambda n: HckElem({ids.obj(m): c for m, c in ids.antipode(n).items()}))  # forest id -> S
+    antipode_of = cache(lambda n: ids.elem(ids.antipode(n)))  # forest id -> S
 
     def law(f: Forest):
         acc = HckElem.sum(
             (key, c * d)
             for (a, b), c in ids.delta(ids.forest(f)).items()
-            for key, d in product(antipode_of(a), HckElem.from_forest(ids.obj(b))).terms.items()
+            for key, d in product(antipode_of(a), ids.elem({b: 1})).terms.items()
         )
         expected = HckElem.one() if f == EMPTY_FOREST else HckElem.zero()
         return None if acc == expected else (expected.text(), acc.text())

@@ -3,7 +3,8 @@
 One type serves both the rooted-forest Hopf algebra and the operadic-tree
 bialgebra at their boundary: keys are :class:`Forest` values or tuples of them
 (tensors), and coefficients exact :class:`fractions.Fraction` values, never 0.
-Inside, terms keyed by int ids (see ``hopf._Ids``) are summed with :func:`add_up`.
+Inside, :mod:`dsetree.hopf` computes on the int ids of one ``hopf._Ids`` table
+(in through ``_Ids.numbered``, out through ``_Ids.elem``) and sums with :func:`add_up`.
 """
 
 from __future__ import annotations
@@ -87,18 +88,6 @@ class LinComb:
 
     def scale(self, s: Scalar) -> "LinComb":
         return LinComb({k: c * s for k, c in self.terms.items()})
-
-    def product(self, other: "LinComb") -> "LinComb":
-        """Bilinear extension of multiset union."""
-        return LinComb.sum((f.union(g), c * d) for f, c in self.terms.items() for g, d in other.terms.items())
-
-    def tensor_product(self, other: "LinComb") -> "LinComb":
-        """Product in the tensor square: factorwise multiset union of pairs."""
-        return LinComb.sum(
-            ((l1.union(l2), r1.union(r2)), c1 * c2)
-            for (l1, r1), c1 in self.terms.items()
-            for (l2, r2), c2 in other.terms.items()
-        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinComb) and self.terms == other.terms

@@ -1,12 +1,12 @@
 """The bialgebra of decorated operadic trees.
 
-Its cuts and coproduct are those of :mod:`dsetree.hopf`, which serve both
-kinds of tree.  Cut edges are split in two rather than removed: the lower part
-of a cut keeps a leaf edge per severed slot (the bare root edge for the cut
-under the root), and the crown keeps one piece per leaf edge of the lower part
-(a bare edge when the leaf edge was original).  This module also houses the
-core homomorphism to the rooted-forest Hopf algebra, Green functions graded by
-leaf count, and their coproduct identity.
+Its cuts and coproduct are those of :mod:`dsetree.hopf`, and every law here but Faa di
+Bruno reads them off one cut table.  Cut edges are split in two rather than removed: the
+lower part of a cut keeps a leaf edge per severed slot (the bare root edge for the cut
+under the root), and the crown keeps one piece per leaf edge of the lower part (a bare
+edge when the leaf edge was original).  This module also houses the core homomorphism to
+the rooted-forest Hopf algebra, Green functions graded by leaf count, and their coproduct
+identity.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from itertools import chain
 from typing import Optional
 
 from . import hopf
-from .hopf import coproduct, tree_cuts
+from .hopf import coproduct
 from .linear import LinComb
 from .ptrees import Operation, PTree, Signature, by_leaves, core, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
-from .trees import EMPTY_FOREST, Forest, _Frozen
+from .trees import Forest, _Frozen
 
 
 # Multisets of decorated trees are plain forests.  The empty forest is the
@@ -54,18 +54,19 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
     each node count built when the search reaches it; returns the first violation,
     or None.  Every candidate violates it, as the cut under the root keeps the bare
     root edge below, so the search stops at the first operation over bare edges.
+    One cut table serves the whole search; only a witness leaves it.
     """
+    ids = hopf._Ids()
     for op in sig.ops:
         for built in (t for n in range(1, node_bound + 2) for t in enumerate_by_nodes(sig, n) if t.op == op):
-            lhs = coproduct(built)
+            flat = ids.tree_cuts(ids.tree(built))  # upper and lower in turn, the cut under the root first
+            lhs = Counter(zip(flat[::2], flat[1::2]))
             # The cocycle identity puts the empty forest, not the bare root
             # edge, below the cut under the root.
-            rhs = LinComb.sum(chain(
-                ((cut, 1) for cut in tree_cuts(built)[1:]),
-                [((Forest([built]), EMPTY_FOREST), 1)],
-            ))
+            rhs = Counter(zip(flat[2::2], flat[3::2]))
+            rhs[flat[0], ids.number(())] += 1
             if lhs != rhs:
-                return CocycleWitness(op, built.children, lhs, rhs)
+                return CocycleWitness(op, built.children, ids.elem(lhs), ids.elem(rhs))
     return None
 
 

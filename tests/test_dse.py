@@ -23,10 +23,11 @@ from dsetree.dse import (
     spec_from_signature,
 )
 from dsetree.errors import InvalidSpec, Nonfinite, OrderExceeded
-from dsetree.hopf import HckElem, _Ids, bplus, coproduct, parse_elem, product
+from dsetree.hopf import HckElem, _Ids, coproduct, parse_elem, product
 from dsetree.linear import LinComb, add_up
-from dsetree.ptrees import Operation, Signature, core_census, list_signature, stable_signature
+from dsetree.ptrees import core_census, list_signature, stable_signature
 from dsetree.trees import parse_forest
+from test_oracles import naive_bplus, naive_product, signatures
 
 
 def catalan(n):
@@ -117,7 +118,9 @@ def naive_power(coeffs, m, j):
     """[X^m]_j by m-fold convolution of the series truncated at degree j."""
     power = [HckElem.one()] + [HckElem.zero()] * j
     for _ in range(m):
-        power = [sum((product(power[a], coeffs[d - a]) for a in range(d + 1)), HckElem.zero()) for d in range(j + 1)]
+        power = [
+            sum((naive_product(power[a], coeffs[d - a]) for a in range(d + 1)), HckElem.zero()) for d in range(j + 1)
+        ]
     return power[j]
 
 
@@ -130,13 +133,13 @@ def test_series_power_with_a_non_unit_constant_term():
 
 
 def reference_solution(spec):
-    """c_0..c_order worked out order by order in LinComb arithmetic, with powers by plain convolution."""
+    """c_0..c_order worked out order by order with the naive product and B₊, with powers by plain convolution."""
     coeffs = []
     for k in range(spec.order + 1):
         c = HckElem.one() if k == 0 else HckElem.zero()
         for t in spec.terms:
             if k >= t.alpha_power:
-                c = c + bplus(naive_power(coeffs, t.x_power, k - t.alpha_power)).scale(t.coeff)
+                c = c + naive_bplus(naive_power(coeffs, t.x_power, k - t.alpha_power)).scale(t.coeff)
         coeffs.append(c)
     return coeffs
 
@@ -292,13 +295,6 @@ def test_rational_coefficients_flow_through():
     spec = DSESpec((DSETerm(1, Fraction(1, 2), 1),), 3)
     series = solve(spec)
     assert series.coeffs[3].text() == "1/8*((()))"
-
-
-signatures = st.builds(
-    lambda names, arities: Signature(tuple(map(Operation, names, arities))),
-    st.permutations(["a", "b", "ab"]),
-    st.lists(st.integers(0, 4), min_size=1, max_size=3),
-)
 
 
 def equation_census(sig, by, k):

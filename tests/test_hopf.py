@@ -48,6 +48,7 @@ from dsetree.trees import (
     graft,
     parse_forest,
 )
+from test_oracles import naive_tensor_product
 
 LADDER2 = CombTree([LEAF])
 
@@ -115,6 +116,16 @@ def test_bplus_examples():
     assert bplus(HckElem.one()) == elem("1*()")
     assert bplus(elem("1*()*()")) == elem("1*(()())")
     assert bplus(elem("2*()")) == elem("2*(())")
+
+
+@pytest.mark.parametrize("function", [bplus, antipode], ids=lambda f: f.__name__)
+def test_bplus_and_antipode_refuse_decorated_forests(function):
+    # B₊ grafts comb forests only, and the decorated bialgebra has no antipode:
+    # its degree-zero part, spanned by the nodeless forests, is not connected.
+    decorated = parse_ptree("b(b(|,|),|)", Signature((Operation("b", 2),)))
+    for x in (HckElem.from_tree(decorated), elem("1*()") + HckElem({Forest([LEAF, NIL]): 2})):
+        with pytest.raises(TypeError, match=function.__name__):
+            function(x)
 
 
 def test_ladder_cut_count():
@@ -310,9 +321,7 @@ def test_delta_is_algebra_map_on_generator_pairs():
                 for g in enumerate_forests(d2):
                     x = HckElem.from_forest(f)
                     y = HckElem.from_forest(g)
-                    assert coproduct(product(x, y)) == coproduct(x).tensor_product(
-                        coproduct(y)
-                    )
+                    assert coproduct(product(x, y)) == naive_tensor_product(coproduct(x), coproduct(y))
 
 
 small_forests = st.builds(
@@ -327,7 +336,7 @@ small_elems = st.dictionaries(
 @settings(max_examples=60)
 @given(small_elems, small_elems)
 def test_delta_is_algebra_map_on_random_sums(x, y):
-    assert coproduct(product(x, y)) == coproduct(x).tensor_product(coproduct(y))
+    assert coproduct(product(x, y)) == naive_tensor_product(coproduct(x), coproduct(y))
 
 
 @settings(max_examples=60)

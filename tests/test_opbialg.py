@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -137,37 +136,6 @@ def test_bigrading_preserved():
             for (crown, lower), c in coproduct(t).terms.items():
                 assert crown.degree + lower.degree == n
                 assert c > 0
-
-
-def _down_closed_subset_count(t):
-    # Brute force over node subsets: a subset is admissible when every
-    # included node's parent node (if any) is included too.
-    nodes = []
-
-    def collect(cur, parent_index):
-        if cur.is_nil():
-            return
-        index = len(nodes)
-        nodes.append(parent_index)
-        for child in cur.children:
-            collect(child, index)
-
-    collect(t, None)
-    count = 0
-    indices = range(len(nodes))
-    for subset in chain.from_iterable(
-        combinations(indices, r) for r in range(len(nodes) + 1)
-    ):
-        chosen = set(subset)
-        if all(nodes[i] is None or nodes[i] in chosen for i in chosen):
-            count += 1
-    return count
-
-
-def test_cut_count_matches_down_closed_subsets():
-    for n in range(5):
-        for t in enumerate_by_nodes(BIN, n):
-            assert len(tree_cuts(t)) == _down_closed_subset_count(t)
 
 
 def test_coassociativity_small_bounds():

@@ -362,20 +362,21 @@ def product_off_by_one_on_degree_one_pairs(product):
 
 
 def graft_adds_a_leaf_under_two_tree_forests(graft):
-    """Grafting with one more leaf under the new root of every 2-tree forest."""
+    """``_Ids.graft`` with one more leaf under the new root of every 2-tree forest."""
 
-    def mutant(f):
-        return graft(Forest([*f.trees, LEAF]) if len(f.trees) == 2 else f)
+    def mutant(self, f):
+        members = self.keys[f]
+        return graft(self, self.number(tuple(sorted((*members, self.tree(LEAF))))) if len(members) == 2 else f)
 
     return mutant
 
 
 def test_law_checks_report_product_and_graft_mutants(monkeypatch):
-    for name, mutant, check in (
-        ("product", product_off_by_one_on_degree_one_pairs, partial(check_antipode, 4)),
-        ("graft", graft_adds_a_leaf_under_two_tree_forests, partial(check_cocycle, 4)),
+    for owner, name, mutant, check in (
+        (hopf, "product", product_off_by_one_on_degree_one_pairs, partial(check_antipode, 4)),
+        (hopf._Ids, "graft", graft_adds_a_leaf_under_two_tree_forests, partial(check_cocycle, 4)),
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(hopf, name, mutant(getattr(hopf, name)))
+            patch.setattr(owner, name, mutant(getattr(owner, name)))
             assert not check().passed, name
         assert check().passed, name

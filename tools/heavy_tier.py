@@ -15,7 +15,8 @@ sides take turns at going first.
 The JSON result (stdout, or ``--out``) maps each command to, per side, the
 medians of its runs, then the calibrated speed-up of the last side over the
 first and every raw run.  Without ``--command`` the two stable:4 checks at
-bound 5 and the antipode check at degree 8 are run.
+bound 5, the antipode check at degree 8 and the Faa di Bruno check over
+stable:3 at bound 5, the heaviest law left on ``LinComb`` arithmetic, are run.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ COMMANDS = (
     "check --law op-coassoc --signature stable:4 --bound 5",
     "check --law core-hom --signature stable:4 --bound 5",
     "check --law antipode --degree 8",
+    "check --law faa-di-bruno --signature stable:3 --bound 5",
 )
 
 
