@@ -198,7 +198,7 @@ def _check_comb(name: str, x: HckElem) -> None:
 
 def antipode(x: HckElem) -> HckElem:
     """Convolution inverse of the identity: over every set of edges of each comb forest, the product of the
-    pieces left, signed (-1) to their number.  Decorated forests have none: nodeless ones span degree 0."""
+    pieces left, signed (-1) to their number.  Decorated forests have none: their degree 0 is not connected."""
     _check_comb("antipode", x)
     ids = _Ids()
     return ids.elem(add_up((n, a * c) for f, a in ids.numbered(x).items() for n, c in ids.antipode(f).items()))
