@@ -47,6 +47,7 @@ class _Ids:
         self.ids: dict = {}  # each key, and each tree object met -> its id
         self.keys, self.protos, self.objs, self.cuts = [], [], [], []  # per id; a forest's proto is None
         self.pieces: dict = {}  # comb tree id -> its edge sets (see edge_cuts)
+        self.cores: dict = {}  # decorated tree id -> the comb tree ids of its core (see core)
 
     def number(self, key: tuple, proto=None) -> int:
         n = self.ids.get(key)
@@ -152,6 +153,14 @@ class _Ids:
             ]
         return self.pieces[n]
 
+    def core(self, n: int) -> tuple[int, ...]:
+        """The comb tree ids of decorated tree ``n``'s core, filled children first: none for the
+        bare edge, and for a node one tree over the cores of its children."""
+        for i in _children_first(n, self.cores.__contains__, self.parts):
+            kids = sorted(k for c in self.parts(i) for k in self.cores[c])
+            self.cores[i] = () if self.keys[i] == ("|",) else (self.number(("", *kids), LEAF),)
+        return self.cores[n]
+
     def elem(self, terms: dict, den: int = 1) -> LinComb:
         """Terms keyed by forest ids or by (upper, lower) id pairs, over ``den``, as a :class:`LinComb`."""
         obj = self.obj  # LinComb makes an int coefficient a Fraction and keeps a Fraction as it is
@@ -186,7 +195,8 @@ def coproduct(x) -> HckTensor:
 
 
 def counit(x: HckElem) -> Scalar:
-    """Coefficient of the empty forest."""
+    """Coefficient of the empty forest.  Decorated forests have another counit (:func:`opbialg.op_counit`)."""
+    _check_comb("counit", x)
     return x.terms.get(EMPTY_FOREST, 0)
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 from . import hopf
 from .hopf import coproduct
 from .linear import LinComb
-from .ptrees import Operation, PTree, Signature, by_leaves, core, enumerate_by_nodes
+from .ptrees import Operation, PTree, Signature, by_leaves, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import Forest, _Frozen
 
@@ -80,8 +80,7 @@ def check_op_coassociativity(sig: Signature, node_bound: int) -> CheckReport:
 def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
     """Verify that taking cores intertwines the two coproducts."""
     ids = hopf._Ids()
-    tree_core = cache(lambda n: tuple(map(ids.tree, core(ids.obj(n)).trees)))  # tree id -> its core's tree ids
-    core_of = cache(lambda n: ids.number(tuple(sorted(chain.from_iterable(map(tree_core, ids.keys[n]))))))
+    core_of = cache(lambda n: ids.number(tuple(sorted(chain.from_iterable(map(ids.core, ids.keys[n]))))))
     hopf_side = cache(ids.delta)
 
     def law(t: PTree):

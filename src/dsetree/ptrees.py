@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
 from .report import up_to
-from .trees import MAX_ENUM_NODES, Canonical, Forest, _Frozen, _check_depth, _check_size, _comb_tree, _nesting
+from .trees import MAX_ENUM_NODES, Canonical, Forest, _Frozen, _check_depth, _check_size, _nesting
 
 MAX_LEAVES = 10
 MAX_HEIGHT = 9
@@ -231,8 +231,10 @@ def _stage_size(sig: Signature, s: int) -> int:
 
 
 def core(t: PTree) -> Forest:
-    """Combinatorial tree of inner edges, read off the code's brackets: decorations and outer edges dropped."""
-    return Forest(() if t.is_nil() else (_comb_tree(t.code),))
+    """Combinatorial tree of inner edges: decorations and outer edges dropped, on one fresh cut table."""
+    from .hopf import _Ids  # hopf imports this module
+    ids = _Ids()
+    return ids.obj(ids.number(ids.core(ids.tree(t))))
 
 
 def core_census(sig: Signature, k: int, by: str = "nodes") -> dict[Forest, int]:
@@ -243,4 +245,7 @@ def core_census(sig: Signature, k: int, by: str = "nodes") -> dict[Forest, int]:
         population = enumerate_by_leaves(sig, k)
     else:
         raise ValueError("by must be 'nodes' or 'leaves'")
-    return dict(Counter(core(t) for t in population))
+    from .hopf import _Ids  # hopf imports this module
+    ids = _Ids()
+    counts = Counter(ids.number(ids.core(ids.tree(t))) for t in population)
+    return {ids.obj(n): c for n, c in counts.items()}

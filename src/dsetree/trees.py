@@ -191,8 +191,14 @@ def aut_order(t: CombTree) -> int:
 
 def _children_first(root, done, children=lambda node: node.children) -> dict:
     """``root`` and what lies below it that is not ``done`` yet, each expanded once and
-    listed after its children: an explicit post-order stack, so no call recurses."""
-    found, stack = {}, [root]
+    listed after its children: an explicit post-order stack, so no call recurses.  A done
+    root, or a new root over done children, returns before any stack is made."""
+    if done(root):
+        return {}
+    kids = children(root)
+    if all(map(done, kids)):
+        return {root: None}
+    found, stack = {}, [root, None, *kids[::-1]]
     while stack:
         if (node := stack.pop()) is None:  # the marker under a node's children: they are all found
             found[stack.pop()] = None

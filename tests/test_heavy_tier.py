@@ -24,3 +24,17 @@ def test_heavy_tier_records_exit_digest_memory_and_times(tmp_path):
     assert record["wall_s"] >= 0 and record["calibrated_s"] >= 0
     assert record["import_s"] > 0 and entry["here"]["import_s"] == record["import_s"]
     assert entry["here"]["runs"] == 1
+
+
+def test_heavy_tier_exits_1_naming_a_command_whose_sides_differ(tmp_path):
+    fake = tmp_path / "fake" / "src" / "dsetree"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("def main(argv):\n    print('other bytes')\n    return 0\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "heavy_tier.py"), "--side", f"here={ROOT}",
+         "--side", f"fake={tmp_path / 'fake'}", "--runs", "1", "--command", COMMAND, "--out", str(tmp_path / "o.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert repr(COMMAND) in proc.stderr.splitlines()[-1]

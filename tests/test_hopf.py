@@ -25,6 +25,7 @@ from dsetree.hopf import (
 )
 from dsetree import hopf, linear, report, trees
 from dsetree.hopf import _Ids
+from dsetree.opbialg import op_counit
 from dsetree.ptrees import (
     NIL,
     Operation,
@@ -126,6 +127,15 @@ def test_bplus_and_antipode_refuse_decorated_forests(function):
     for x in (HckElem.from_tree(decorated), elem("1*()") + HckElem({Forest([LEAF, NIL]): 2})):
         with pytest.raises(TypeError, match=function.__name__):
             function(x)
+
+
+def test_counit_refuses_decorated_forests():
+    # The bialgebra of decorated forests has its own counit, 1 on every nodeless
+    # forest: the coefficient of the empty forest would give 0 on the bare edge.
+    assert op_counit(Forest([NIL])) == 1
+    for x in (HckElem.from_tree(NIL), elem("1*1") + HckElem({Forest([LEAF, NIL]): 2})):
+        with pytest.raises(TypeError, match="counit"):
+            counit(x)
 
 
 def test_ladder_cut_count():

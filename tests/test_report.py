@@ -3,12 +3,12 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 
-from dsetree import hopf, opbialg, ptrees
+from dsetree import hopf
 from dsetree.cli import main
 from dsetree.hopf import antipode, check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
 from dsetree.opbialg import check_core_homomorphism, check_faa_di_bruno
-from dsetree.ptrees import binary_signature, core, enumerate_by_nodes, stable_signature
+from dsetree.ptrees import PTree, binary_signature, core, enumerate_by_nodes, stable_signature
 from dsetree.report import check_coassociative, up_to
 from dsetree.trees import LEAF, CombTree, Forest, enumerate_forests, parse_forest
 
@@ -155,16 +155,42 @@ def test_antipode_check_computes_each_antipode_once(monkeypatch):
 
 
 def test_core_homomorphism_check_takes_each_core_once(monkeypatch):
-    calls = Counter()
+    fills, tables = Counter(), []
+    init = hopf._Ids.__init__
 
-    def counted(t):
-        calls[t] += 1
-        return core(t)
+    class CountedCores(dict):
+        def __setitem__(self, n, core):
+            fills[n] += 1
+            super().__setitem__(n, core)
 
-    monkeypatch.setattr(opbialg, "core", counted)
-    assert check_core_homomorphism(stable_signature(3), 3).passed
-    assert set(calls.values()) == {1}
-    assert calls.keys() == {tree for t in STABLE3_TREES for cut in coproduct(t).terms for f in cut for tree in f}
+    def counted(self):
+        init(self)
+        self.cores = CountedCores()
+        tables.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hopf._Ids, "__init__", counted)
+        assert check_core_homomorphism(stable_signature(3), 3).passed
+    [ids] = tables
+    assert set(fills.values()) == {1}
+    assert {ids.obj(n) for n in fills} == {
+        tree for t in STABLE3_TREES for cut in coproduct(t).terms for f in cut for tree in f
+    }
+
+
+def test_core_homomorphism_check_builds_no_tree_or_forest(monkeypatch):
+    sig = stable_signature(3)
+    up_to(partial(enumerate_by_nodes, sig), 3)  # the inputs, enumerated and cached before counting
+    built = Counter()
+    for cls in (PTree, CombTree, Forest):
+
+        def counted(self, *args, init=cls.__init__, name=cls.__name__):
+            built[name] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert check_core_homomorphism(sig, 3).passed
+    assert built == Counter()
 
 
 def test_core_homomorphism_check_takes_one_hopf_coproduct_per_core(monkeypatch):
@@ -181,14 +207,17 @@ def test_core_homomorphism_check_takes_one_hopf_coproduct_per_core(monkeypatch):
     assert calls.keys() == {core(t) for t in STABLE3_TREES}
 
 
-def drop_a_leaf_under_the_root(comb_tree):
-    """The comb tree read off a code with one leaf child of its root removed, where it has one."""
+def drop_a_leaf_under_the_root(core):
+    """The core map on ids with one leaf child of the core's root removed, where it has one."""
 
-    def mutant(code):
-        kids = list(comb_tree(code).children)
-        if LEAF in kids:
-            kids.remove(LEAF)
-        return CombTree(kids)
+    def mutant(self, n):
+        found = core(self, n)
+        leaf = self.number(("",), LEAF)
+        if not found or leaf not in self.parts(found[0]):
+            return found
+        kids = list(self.parts(found[0]))
+        kids.remove(leaf)
+        return (self.number(("", *kids), LEAF),)
 
     return mutant
 
@@ -196,7 +225,7 @@ def drop_a_leaf_under_the_root(comb_tree):
 def test_core_homomorphism_check_reports_a_wrong_core(monkeypatch):
     checks = [partial(check_core_homomorphism, sig, 3) for sig in (binary_signature(), stable_signature(3))]
     with monkeypatch.context() as patch:
-        patch.setattr(ptrees, "_comb_tree", drop_a_leaf_under_the_root(ptrees._comb_tree))
+        patch.setattr(hopf._Ids, "core", drop_a_leaf_under_the_root(hopf._Ids.core))
         for check in checks:
             assert not check().passed, check.args[0]
     assert all(check().passed for check in checks)

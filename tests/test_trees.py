@@ -149,6 +149,16 @@ def test_children_first_expands_each_distinct_node_once():
     assert list(_children_first(full, lambda node: False, children)) == heights
     assert len(expanded) == 13
 
+    # Only the root new: it alone is listed, its children read once; the root done: nothing is.
+    below = set(heights[:-1]).__contains__
+    expanded.clear()
+    assert _children_first(full, below, children) == {full: None}
+    assert expanded == [full]
+    expanded.clear()
+    assert _children_first(full, set(heights).__contains__, children) == {}
+    assert expanded == []
+    assert _children_first(LEAF, lambda node: False, children) == {LEAF: None}
+
 
 def test_enumeration_counts_match_both_oracles():
     counts = [len(enumerate_comb_trees(n)) for n in range(1, 9)]

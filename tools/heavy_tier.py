@@ -14,9 +14,12 @@ sides take turns at going first.
 
 The JSON result (stdout, or ``--out``) maps each command to, per side, the
 medians of its runs, then the calibrated speed-up of the last side over the
-first and every raw run.  Without ``--command`` the two stable:4 checks at
-bound 5, the antipode check at degree 8 and the Faa di Bruno check over
-stable:3 at bound 5, the heaviest law left on ``LinComb`` arithmetic, are run.
+first and every raw run.  The script exits 1, naming the command, when the
+runs of a command do not all give the same exit code and stdout digest, so a
+pair whose outputs differ never reads as a speed-up.  Without ``--command``
+the two stable:4 checks at bound 5, the antipode check at degree 8 and the
+Faa di Bruno check over stable:3 at bound 5, the heaviest law left on
+``LinComb`` arithmetic, are run.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def main() -> int:
     if not args.side:
         parser.error("give at least one --side NAME=PATH")
     sides = [tuple(spec.split("=", 1)) for spec in args.side]
-    result = {}
+    result, differ = {}, []
     for command in commands:
         raw = []
         for rep in range(args.runs):
@@ -119,15 +122,20 @@ def main() -> int:
         entry = {name: summary([r["result"] for r in raw if r["side"] == name]) for name, _ in sides}
         if len(sides) > 1:
             first, last = entry[sides[0][0]], entry[sides[-1][0]]
-            entry["speedup_calibrated"] = round(first["calibrated_s"] / last["calibrated_s"], 2)
+            if last["calibrated_s"]:  # a run too short to time gives no ratio
+                entry["speedup_calibrated"] = round(first["calibrated_s"] / last["calibrated_s"], 2)
         entry["raw"] = raw
         result[command] = entry
+        if len({(r["result"]["exit"], r["result"]["stdout_sha256"]) for r in raw}) > 1:
+            differ.append(command)
     text = json.dumps(result, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-    return 0
+    for command in differ:
+        print(f"the runs of {command!r} differ in exit code or stdout digest", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
