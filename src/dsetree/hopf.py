@@ -16,7 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
+from math import factorial, prod
 
 from .errors import MalformedCode
 from .linear import LinComb, Scalar, add_up, parse_scalar
@@ -48,6 +49,7 @@ class _Ids:
         self.keys, self.protos, self.objs, self.cuts = [], [], [], []  # per id; a forest's proto is None
         self.pieces: dict = {}  # comb tree id -> its edge sets (see edge_cuts)
         self.cores: dict = {}  # decorated tree id -> the comb tree ids of its core (see core)
+        self.tails: dict = {}  # sorted tree ids of a multi-tree tail -> its cuts (see forest_cuts)
 
     def number(self, key: tuple, proto=None) -> int:
         n = self.ids.get(key)
@@ -89,17 +91,14 @@ class _Ids:
             found = [self.number((i,)), self.number((self.tree(NIL),) if head[0] else ())]
             if head != ("|",):
                 # Per child: its cut under the root (all of it above) or another (its root part below).
-                for above, below in self.choices([self.cuts[c] for c in self.parts(i)]):
+                flats = [self.cuts[c] for c in self.parts(i)]
+                uppers, lowers = ([[self.keys[f] for f in flat[side::2]] for flat in flats] for side in (0, 1))
+                for above, below in zip(iproduct(*uppers), iproduct(*lowers)):
                     kept = sum(below, ())
                     lower = self.number(head + (kept if head[0] else tuple(sorted(kept))), node)
                     found += (self.number(tuple(sorted(sum(above, ())))), self.number((lower,)))
             self.cuts[i] = tuple(found)
         return self.cuts[n]
-
-    def choices(self, flats):
-        """Every choice of one cut per flat cut tuple, as (upper parts, lower parts) of member ids."""
-        uppers, lowers = ([[self.keys[f] for f in flat[side::2]] for flat in flats] for side in (0, 1))
-        return zip(iproduct(*uppers), iproduct(*lowers))
 
     def forest(self, f: Forest) -> int:
         """The id of the forest object ``f``."""
@@ -123,11 +122,38 @@ class _Ids:
         return self.forest_cuts(self.keys[n])
 
     def forest_cuts(self, trees) -> Counter:
-        """How often each (upper, lower) forest id pair is a cut of the forest of tree ids ``trees``."""
-        flats = [self.cuts[n] or self.tree_cuts(n) for n in trees]
-        if len(flats) == 1:
-            return Counter(zip(flats[0][::2], flats[0][1::2]))
-        return Counter(tuple(self.number(tuple(sorted(sum(side, ())))) for side in cut) for cut in self.choices(flats))
+        """How often each (upper, lower) forest id pair is a cut of the forest of sorted tree ids ``trees``.
+
+        Δ is multiplicative: the runs of equal trees (:meth:`run_cuts`) are folded from the last back
+        onto the cuts of the tail after each, and ``tails`` keeps those of each proper tail of 2+ trees.
+        """
+        keys, number, tails = self.keys, self.number, self.tails
+        starts = [i for i, n in enumerate(trees) if not i or n != trees[i - 1]] + [len(trees)]
+        # The longest tail held: a kept one, the last tree alone or the empty forest.
+        j = next(j for j, i in enumerate(starts) if i >= len(trees) - 1 or trees[i:] in tails)
+        tail = trees[starts[j]:]
+        if len(tail) > 1:
+            cuts = tails[tail] if j else Counter(tails[tail])  # the caller's copy is its own
+        else:
+            flat = (self.cuts[tail[0]] or self.tree_cuts(tail[0])) if tail else (number(()),) * 2
+            cuts = Counter(zip(flat[::2], flat[1::2]))
+        for j in reversed(range(j)):
+            cuts, held = Counter(), cuts
+            for up, low, ways in self.run_cuts(trees[starts[j]], starts[j + 1] - starts[j]):
+                for (u, l), c in held.items():
+                    cuts[number(tuple(sorted(up + keys[u]))), number(tuple(sorted(low + keys[l])))] += ways * c
+            if j:
+                tails[trees[starts[j]:]] = cuts
+        return cuts
+
+    def run_cuts(self, n: int, m: int):
+        """Per multiset of m cuts of tree ``n``: its upper and lower member ids, and the m!/∏kᵢ!
+        ways to deal it to m copies, kᵢ of them taking cut i."""
+        flat = self.cuts[n] or self.tree_cuts(n)
+        uppers, lowers = [self.keys[u] for u in flat[::2]], [self.keys[l] for l in flat[1::2]]
+        for combo in combinations_with_replacement(range(len(uppers)), m):
+            ways = factorial(m) // prod(factorial(combo.count(i)) for i in set(combo))
+            yield sum((uppers[i] for i in combo), ()), sum((lowers[i] for i in combo), ()), ways
 
     def antipode(self, n: int) -> Counter:
         """The antipode of forest ``n`` per forest id: over every set of edges, the pieces left, signed."""
