@@ -32,8 +32,10 @@ def _load_signature(name: str) -> ptrees.Signature:
         return _FAMILIES[family](int(k_text) if colon else 4)
     with open(name, encoding="utf-8") as fh:
         data = json.load(fh)
-    try:  # Operation and Signature check the fields
-        return ptrees.Signature(ptrees.Operation(op["name"], op["arity"]) for op in data["ops"])
+    try:  # the size is checked before any Operation is made; Operation and Signature check the fields
+        ops = data["ops"]
+        ptrees._check_signature_size(len(ops), sum(op["arity"] for op in ops if type(op["arity"]) is int))
+        return ptrees.Signature(ptrees.Operation(op["name"], op["arity"]) for op in ops)
     except (KeyError, TypeError, ValueError) as exc:
         shape = '{"ops": [{"name": <string>, "arity": <int>}, ...]}'
         raise DsetreeError(f"malformed signature document {name}: {exc}; expected {shape}") from exc

@@ -16,9 +16,9 @@ from itertools import chain
 from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidSpec, Nonfinite, OrderExceeded
+from .errors import InvalidSpec, Nonfinite, OrderExceeded, SizeLimit
 from .hopf import HckElem, _Ids
-from .linear import add_up, parse_scalar
+from .linear import MAX_COEFF_EXPONENT, add_up, parse_scalar
 from .ptrees import SMALL_ARITIES_BY_LEAVES, Signature
 from .trees import _Frozen
 
@@ -132,6 +132,8 @@ def solve(spec: DSESpec) -> Series:
     # Every alpha_power is at least 1, so e_k depends only on e_0..e_{k-1}; terms past the order never enter.
     used = [t for t in spec.terms if t.alpha_power <= spec.order]
     d = lcm(*(t.coeff.denominator for t in used))
+    if d**spec.order >= 10**MAX_COEFF_EXPONENT:  # refused before solving: the top coefficient could not print
+        raise SizeLimit(f"the weights' denominator to the power {spec.order} exceeds {MAX_COEFF_EXPONENT} digits")
     terms = [DSETerm(t.alpha_power, int(t.coeff * d**t.alpha_power), t.x_power) for t in used]
     ids, coeffs, memo = _Ids(), [], {}
     for k in range(spec.order + 1):

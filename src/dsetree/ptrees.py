@@ -21,6 +21,7 @@ from .trees import MAX_ENUM_NODES, Canonical, Forest, _Frozen, _check_depth, _ch
 MAX_LEAVES = 10
 MAX_HEIGHT = 9
 MAX_LAYER_SIZE = 200_000
+MAX_SIGNATURE_SIZE = 30_000  # operations plus the sum of their arities: list:243 at most
 GRADED_CACHE_SIZE = 64  # (signature, grading, size, builder) entries: every size of a few signatures
 SMALL_ARITIES_BY_LEAVES = "signature has nullary or unary operations; pass a node bound"
 _TOKENS = r"[^(),|]*\(|[)|]"  # a node's name and "(", a ")" or a bare edge; compiled on first use
@@ -141,8 +142,14 @@ def binary_signature() -> Signature:
     return Signature((Operation("b", 2),))
 
 
+def _check_signature_size(ops: int, arities: int) -> None:
+    """Refuse a signature of ``ops`` operations whose arities sum to ``arities``, before any is made."""
+    _check_size("signature size (operations plus the sum of arities)", ops + arities, MAX_SIGNATURE_SIZE)
+
+
 def list_signature(max_arity: int) -> Signature:
     """The list endofunctor, truncated at a maximal arity."""
+    _check_signature_size(max_arity + 1, max_arity * (max_arity + 1) // 2)
     return Signature(tuple(Operation(f"l{k}", k) for k in range(max_arity + 1)))
 
 
@@ -150,6 +157,7 @@ def stable_signature(max_arity: int) -> Signature:
     """One operation per arity 2..max_arity (no nullary or unary nodes)."""
     if max_arity < 2:
         raise ValueError("stable signatures need max_arity >= 2")
+    _check_signature_size(max_arity - 1, max_arity * (max_arity + 1) // 2 - 1)
     return Signature(tuple(Operation(f"v{k}", k) for k in range(2, max_arity + 1)))
 
 
