@@ -9,6 +9,9 @@ edges, signed by the number of pieces left.  Public results hold exact
 also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
 a call: each call, law check or solve fills one table (:class:`_Ids`) of its
 own, and reads coproducts, antipodes, products and grafts off its int ids.
+Δ is multiplicative: a forest is cut run by run of equal trees (m copies deal out
+a multiset of cuts in m!/∏kᵢ! ways) onto the kept cuts of its tail, while a tree's
+cuts stay the plain product over its children, so the cocycle law compares two sums.
 """
 
 from __future__ import annotations
@@ -122,11 +125,8 @@ class _Ids:
         return self.forest_cuts(self.keys[n])
 
     def forest_cuts(self, trees) -> Counter:
-        """How often each (upper, lower) forest id pair is a cut of the forest of sorted tree ids ``trees``.
-
-        Δ is multiplicative: the runs of equal trees (:meth:`run_cuts`) are folded from the last back
-        onto the cuts of the tail after each, and ``tails`` keeps those of each proper tail of 2+ trees.
-        """
+        """How often each (upper, lower) forest id pair is a cut of the forest of sorted tree ids ``trees``: its
+        runs of equal trees (:meth:`run_cuts`) folded from the last back, the cuts of each proper tail kept."""
         keys, number, tails = self.keys, self.number, self.tails
         starts = [i for i, n in enumerate(trees) if not i or n != trees[i - 1]] + [len(trees)]
         # The longest tail held: a kept one, the last tree alone or the empty forest.

@@ -137,6 +137,25 @@ def test_solve_refuses_a_coefficient_too_long_to_print(tmp_path, capsys):
     assert len(capsys.readouterr().out) > 1_400_000
 
 
+def test_solve_refuses_a_denominator_too_long_to_print_before_solving(tmp_path, capsys):
+    # d = 10^4300 at order 10 gives a top denominator of 43,001 digits; the check comes before the solve.
+    doc = {"order": 10, "terms": [
+        {"alpha_power": 1, "coeff": "1e-4300", "x_power": 2},
+        {"alpha_power": 2, "coeff": "5/7", "x_power": 3},
+        {"alpha_power": 3, "coeff": "4/3", "x_power": 1},
+    ]}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli.main(["solve", "--spec", str(path), "--order", "10"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", "error: the weights' denominator to the power 10 exceeds 4300 digits\n")
+    # d = 21 * 10^428 to the power 10 has 4294 digits: it solves and prints.
+    doc["terms"][0]["coeff"] = "1e-428"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--spec", str(path), "--order", "10"]) == 0
+
+
 def test_spec_file_accepted(tmp_path):
     doc = {"order": 2, "terms": [{"alpha_power": 1, "coeff": "1", "x_power": 1}]}
     path = tmp_path / "linear.json"
@@ -214,6 +233,28 @@ def test_directory_given_as_a_file_exits_2(tmp_path, capsys):
     ):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err == f"error: cannot open {tmp_path}\n"
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["enumerate", "--signature", "list:100000", "--n", "0"], 5_000_150_001),
+    (["enumerate", "--signature", "stable:100000", "--n", "1"], 5_000_149_998),
+    (["census", "--signature", "list:244", "--n", "2"], 30_135),
+    (["enumerate", "--signature", "wide.json", "--n", "2"], 1_000_001),
+    (["green", "--signature", "many.json", "--bound", "1"], 40_000),
+])
+def test_oversized_signatures_are_refused_before_they_are_built(argv, size, tmp_path, monkeypatch, capsys):
+    # The size is operations plus the sum of arities: list:K has K + 1 operations of arities 0..K.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wide.json").write_text(json.dumps({"ops": [{"name": "w", "arity": 10**6}]}))
+    (tmp_path / "many.json").write_text(json.dumps({"ops": [{"name": f"o{i}", "arity": 0} for i in range(40_000)]}))
+    made = []
+    monkeypatch.setattr(ptrees.Operation, "__init__", lambda self, *args: made.append(args))
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert made == []
+    assert capsys.readouterr() == ("", f"error: signature size (operations plus the sum of arities) is capped at "
+                                       f"{ptrees.MAX_SIGNATURE_SIZE}, got {size}\n")
 
 
 def test_large_arity_enumerates(tmp_path, capsys):

@@ -22,7 +22,7 @@ from dsetree.dse import (
     solve,
     spec_from_signature,
 )
-from dsetree.errors import InvalidSpec, Nonfinite, OrderExceeded
+from dsetree.errors import InvalidSpec, Nonfinite, OrderExceeded, SizeLimit
 from dsetree.hopf import HckElem, _Ids, coproduct, parse_elem, product
 from dsetree.linear import LinComb, add_up
 from dsetree.ptrees import core_census, list_signature, stable_signature
@@ -169,6 +169,14 @@ def test_a_tiny_coefficient_solves_exactly():
     # Only six alpha^1 grafts make the ladder of six nodes, each doubling it through X^2.
     assert series.coeffs[6].terms[parse_forest("(((((())))))")] == 2**5 * Fraction("1e-400") ** 6
     assert all(r.is_zero() for r in residual(spec, series))
+
+
+def test_solve_refuses_a_top_denominator_past_the_printing_limit():
+    # X = 1 + w*alpha*B+(X) with w = 10^-430: d^10 has 4301 digits, d^9 has 3871.
+    tiny = DSETerm(1, Fraction(1, 10**430), 1)
+    with pytest.raises(SizeLimit, match="denominator to the power 10 exceeds 4300 digits"):
+        solve(DSESpec((tiny,), 10))
+    assert solve(DSESpec((tiny,), 9)).coeffs[9].terms[parse_forest("(" * 9 + ")" * 9)] == Fraction(1, 10**3870)
 
 
 def test_solve_work_is_bounded_by_one_memo(monkeypatch):

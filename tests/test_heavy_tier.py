@@ -24,6 +24,10 @@ def test_heavy_tier_records_exit_digest_memory_and_times(tmp_path):
     assert record["wall_s"] >= 0 and record["calibrated_s"] >= 0
     assert record["import_s"] > 0 and entry["here"]["import_s"] == record["import_s"]
     assert entry["here"]["runs"] == 1
+    # One cut table, whose work is the committed coassoc check's up to degree 2.
+    (table,) = record["counts"]["tables"]
+    assert table["ids"] > 0 and table["trees_cut"] == 2 and table["tails"] == 0
+    assert record["counts"]["graded"] == {"hits": 0, "misses": 0, "currsize": 0}
 
 
 def test_heavy_tier_exits_1_naming_a_command_whose_sides_differ(tmp_path):
@@ -37,4 +41,4 @@ def test_heavy_tier_exits_1_naming_a_command_whose_sides_differ(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 1
-    assert repr(COMMAND) in proc.stderr.splitlines()[-1]
+    assert proc.stderr.splitlines()[-1] == f"the runs of {COMMAND!r} differ in exit code or stdout digest"

@@ -12,13 +12,15 @@
 
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 from hypothesis import example, given, settings, strategies as st
 
+from dsetree import hopf
 from dsetree.hopf import coproduct, tree_cuts
 from dsetree.linear import LinComb
 from dsetree.ptrees import NIL, Operation, PTree, Signature, core, parse_ptree
-from dsetree.trees import EMPTY_FOREST, CombTree, Forest
+from dsetree.trees import EMPTY_FOREST, LEAF, CombTree, Forest
 
 signatures = st.builds(
     lambda names, arities: Signature(tuple(map(Operation, names, arities))),
@@ -119,21 +121,36 @@ def planar_trees(draw, sig: Signature, max_nodes: int = 6) -> PTree:
     return grow()
 
 
+FOREST_NODES = 12  # at most 2^12 ordered choices of cuts, so the reference stays quick
+
+
 @st.composite
 def forests_over_signatures(draw) -> list:
+    """Up to three trees, each taken 1 to 4 times in a row (a run of equal trees) while the
+    forest holds at most ``FOREST_NODES`` nodes; a tree that does not fit is left out."""
     sig = draw(signatures)
-    return draw(st.lists(planar_trees(sig), max_size=2))
+    forest, room = [], FOREST_NODES
+    for t in draw(st.lists(planar_trees(sig), max_size=3)):
+        nodes = t.code.count("(")
+        if nodes <= room:
+            copies = min(draw(st.integers(1, 4)), room // nodes if nodes else 4)
+            forest += [t] * copies
+            room -= copies * nodes
+    return forest
 
 
 BINARY = Signature((Operation("a", 2),))
+A, AA = parse_ptree("a(|,|)", BINARY), parse_ptree("a(a(|,|),|)", BINARY)
 
 
 @settings(max_examples=150, deadline=None)
 @given(forests_over_signatures())
-@example([parse_ptree("a(a(|,|),|)", BINARY)])  # its kept children in another order make another lower tree
+@example([AA])  # its kept children in another order make another lower tree
+@example([A, A, A, AA, AA])  # a run of three folded onto a run of two
+@example([NIL, NIL, A, A, A, A])  # a run of bare edges, which have one cut each
 def test_cuts_coproduct_and_core_equal_their_definitions(planar):
     combs = [_comb(t) for t in planar if t != NIL]
-    for t in planar + combs:
+    for t in dict.fromkeys(planar + combs):
         cuts = tree_cuts(t)
         assert Counter(cuts) == reference_cuts(t), t
         assert cuts[0] == (Forest([t]), Forest([NIL] if isinstance(t, PTree) else [])), t
@@ -142,3 +159,14 @@ def test_cuts_coproduct_and_core_equal_their_definitions(planar):
     x = LinComb({Forest(planar): 2, Forest(combs): -1})
     assert coproduct(x) == reference_coproduct(x)
     assert coproduct(Forest(planar)) == reference_coproduct(LinComb({Forest(planar): 1}))
+
+
+def test_a_run_of_equal_trees_is_cut_once_per_multiset(monkeypatch):
+    # Twelve leaves have 2^12 ordered choices of a cut each, but 13 multisets of them:
+    # k leaves above and 12 - k below, dealt out in C(12, k) ways.
+    numbered = []
+    number = hopf._Ids.number
+    monkeypatch.setattr(hopf._Ids, "number", lambda self, *args: numbered.append(args) or number(self, *args))
+    delta = coproduct(Forest([LEAF] * 12))
+    assert delta == LinComb({(Forest([LEAF] * k), Forest([LEAF] * (12 - k))): comb(12, k) for k in range(13)})
+    assert len(numbered) <= 100

@@ -8,8 +8,11 @@ and runs one CLI command in process, with stdout captured.  The import and
 the command are each timed by ``perfbench.worker.timed`` of the checkout this
 script lives in: a run reports the import's calibrated seconds (``import_s``),
 and the command's wall seconds and seconds calibrated against that module's
-probe.  A run also records its exit code, the sha256 of its stdout and its
-peak RSS (``ru_maxrss``).  Runs go one at a time; in each repetition the
+probe.  A run also records its exit code, the sha256 of its stdout, its
+peak RSS (``ru_maxrss``) and its work counts (``counts``, see
+``tools/work_counts.py``): what each cut table the command made holds when
+it ends, and the enumeration cache's hits and misses.  Those tables stay
+alive until the command ends, as they do anyway in the law checks timed here.  Runs go one at a time; in each repetition the
 sides take turns at going first.
 
 The JSON result (stdout, or ``--out``) maps each command to, per side, the
@@ -48,7 +51,9 @@ COMMANDS = (
 def run_one(src: str, command: str) -> dict:
     """Run ``command`` in this process against the ``dsetree`` under ``src``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(ROOT / "tools"))
     sys.path.insert(0, src)
+    from work_counts import counts, recording
     from worker import timed
 
     cli, _, import_s = timed(lambda: importlib.import_module("dsetree.cli"))
@@ -61,7 +66,8 @@ def run_one(src: str, command: str) -> dict:
             except SystemExit as exc:
                 return exc.code
 
-    code, wall, calibrated = timed(step)
+    with recording() as tables:
+        code, wall, calibrated = timed(step)
     return {
         "command": command,
         "exit": code,
@@ -70,6 +76,7 @@ def run_one(src: str, command: str) -> dict:
         "calibrated_s": round(calibrated, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+        "counts": counts(tables),
     }
 
 
