@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import chain, combinations_with_replacement, product as iproduct, repeat
 from math import factorial, prod
 
 from .errors import MalformedCode
@@ -52,7 +52,7 @@ class _Ids:
         self.keys, self.protos, self.objs, self.cuts = [], [], [], []  # per id; a forest's proto is None
         self.pieces: dict = {}  # comb tree id -> its edge sets (see edge_cuts)
         self.cores: dict = {}  # decorated tree id -> the comb tree ids of its core (see core)
-        self.tails: dict = {}  # sorted tree ids of a multi-tree tail -> its cuts (see forest_cuts)
+        self.tails: dict = {}  # sorted tree ids of a proper tail of 2+ trees -> its cuts (see forest_cuts)
 
     def number(self, key: tuple, proto=None) -> int:
         n = self.ids.get(key)
@@ -151,9 +151,13 @@ class _Ids:
         ways to deal it to m copies, kᵢ of them taking cut i."""
         flat = self.cuts[n] or self.tree_cuts(n)
         uppers, lowers = [self.keys[u] for u in flat[::2]], [self.keys[l] for l in flat[1::2]]
+        if m == 1:
+            yield from zip(uppers, lowers, repeat(1))
+            return
+        deals = factorial(m)
         for combo in combinations_with_replacement(range(len(uppers)), m):
-            ways = factorial(m) // prod(factorial(combo.count(i)) for i in set(combo))
-            yield sum((uppers[i] for i in combo), ()), sum((lowers[i] for i in combo), ()), ways
+            up, low = ((*chain.from_iterable(map(side.__getitem__, combo)),) for side in (uppers, lowers))
+            yield up, low, deals // prod(factorial(combo.count(i)) for i in set(combo))
 
     def antipode(self, n: int) -> Counter:
         """The antipode of forest ``n`` per forest id: over every set of edges, the pieces left, signed."""
