@@ -125,11 +125,14 @@ class _Ids:
         return self.forest_cuts(self.keys[n])
 
     def forest_cuts(self, trees) -> Counter:
-        """How often each (upper, lower) forest id pair is a cut of the forest of sorted tree ids ``trees``: its
-        runs of equal trees (:meth:`run_cuts`) folded from the last back, the cuts of each proper tail kept."""
+        """How often each (upper, lower) forest id pair is a cut of the forest of sorted tree ids ``trees``."""
+        if len(trees) == 1:
+            flat = self.cuts[trees[0]] or self.tree_cuts(trees[0])
+            return Counter(zip(flat[::2], flat[1::2]))
         keys, number, tails = self.keys, self.number, self.tails
         starts = [i for i, n in enumerate(trees) if not i or n != trees[i - 1]] + [len(trees)]
-        # The longest tail held: a kept one, the last tree alone or the empty forest.
+        # Runs of equal trees (run_cuts) are folded from the last back onto the longest tail held:
+        # a kept one (the cuts of each proper tail folded are kept), the last tree alone or no tree.
         j = next(j for j, i in enumerate(starts) if i >= len(trees) - 1 or trees[i:] in tails)
         tail = trees[starts[j]:]
         if len(tail) > 1:
@@ -147,8 +150,7 @@ class _Ids:
         return cuts
 
     def run_cuts(self, n: int, m: int):
-        """Per multiset of m cuts of tree ``n``: its upper and lower member ids, and the m!/∏kᵢ!
-        ways to deal it to m copies, kᵢ of them taking cut i."""
+        """Per multiset of m cuts of tree ``n``: its upper and lower member ids, and the m!/∏kᵢ! ways to deal it."""
         flat = self.cuts[n] or self.tree_cuts(n)
         uppers, lowers = [self.keys[u] for u in flat[::2]], [self.keys[l] for l in flat[1::2]]
         if m == 1:
