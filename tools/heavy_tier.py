@@ -12,8 +12,9 @@ probe.  A run also records its exit code, the sha256 of its stdout, its
 peak RSS (``ru_maxrss``) and its work counts (``counts``, see
 ``tools/work_counts.py``): what each cut table the command made holds when
 it ends, and the enumeration cache's hits and misses.  Those tables stay
-alive until the command ends, as they do anyway in the law checks timed here.  Runs go one at a time; in each repetition the
-sides take turns at going first.
+alive until the command ends, as they do anyway in the law checks timed
+here.  Runs go one at a time; in each repetition the sides take turns at
+going first.
 
 The JSON result (stdout, or ``--out``) maps each command to, per side, the
 medians of its runs, then the calibrated speed-up of the last side over the
