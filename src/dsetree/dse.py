@@ -132,8 +132,13 @@ def solve(spec: DSESpec) -> Series:
     # Every alpha_power is at least 1, so e_k depends only on e_0..e_{k-1}; terms past the order never enter.
     used = [t for t in spec.terms if t.alpha_power <= spec.order]
     d = lcm(*(t.coeff.denominator for t in used))
-    if d**spec.order >= 10**MAX_COEFF_EXPONENT:  # refused before solving: the top coefficient could not print
-        raise SizeLimit(f"the weights' denominator to the power {spec.order} exceeds {MAX_COEFF_EXPONENT} digits")
+    # The top coefficient's denominator divides d^order and prod_t q_t^(order // a_t): refused before solving
+    # when both reach the printing limit (the second is capped there as it grows).
+    limit, top = 10**MAX_COEFF_EXPONENT, 1
+    for t in used:
+        top = min(top * t.coeff.denominator ** (spec.order // t.alpha_power), limit)
+    if top >= limit and d**spec.order >= limit:
+        raise SizeLimit(f"the order-{spec.order} coefficient's denominator may exceed {MAX_COEFF_EXPONENT} digits")
     terms = [DSETerm(t.alpha_power, int(t.coeff * d**t.alpha_power), t.x_power) for t in used]
     ids, coeffs, memo = _Ids(), [], {}
     for k in range(spec.order + 1):

@@ -149,8 +149,8 @@ def test_solve_refuses_a_denominator_too_long_to_print_before_solving(tmp_path, 
     start = time.perf_counter()
     assert cli.main(["solve", "--spec", str(path), "--order", "10"]) == 2
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr() == ("", "error: the weights' denominator to the power 10 exceeds 4300 digits\n")
-    # d = 21 * 10^428 to the power 10 has 4294 digits: it solves and prints.
+    assert capsys.readouterr() == ("", "error: the order-10 coefficient's denominator may exceed 4300 digits\n")
+    # 10^4280 * 7^5 * 3^3, a multiple of the top denominator, has 4286 digits: it solves and prints.
     doc["terms"][0]["coeff"] = "1e-428"
     path.write_text(json.dumps(doc))
     assert cli.main(["solve", "--spec", str(path), "--order", "10"]) == 0

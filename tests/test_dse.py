@@ -174,9 +174,12 @@ def test_a_tiny_coefficient_solves_exactly():
 def test_solve_refuses_a_top_denominator_past_the_printing_limit():
     # X = 1 + w*alpha*B+(X) with w = 10^-430: d^10 has 4301 digits, d^9 has 3871.
     tiny = DSETerm(1, Fraction(1, 10**430), 1)
-    with pytest.raises(SizeLimit, match="denominator to the power 10 exceeds 4300 digits"):
+    with pytest.raises(SizeLimit, match="order-10 coefficient's denominator may exceed 4300 digits"):
         solve(DSESpec((tiny,), 10))
     assert solve(DSESpec((tiny,), 9)).coeffs[9].terms[parse_forest("(" * 9 + ")" * 9)] == Fraction(1, 10**3870)
+    # X = 1 + w*alpha^2*B+(X) with w = 10^-500: d^10 has 5001 digits, but c_10 = w^5 is a ladder of 5 over 10^2500.
+    sparse = DSETerm(2, Fraction(1, 10**500), 1)
+    assert solve(DSESpec((sparse,), 10)).coeffs[10].terms[parse_forest("(" * 5 + ")" * 5)] == Fraction(1, 10**2500)
 
 
 def test_solve_work_is_bounded_by_one_memo(monkeypatch):
