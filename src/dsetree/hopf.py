@@ -10,7 +10,7 @@ also serve the decorated trees of :mod:`dsetree.opbialg`.  No cache outlives
 a call: each call, law check or solve fills one table (:class:`_Ids`) of its
 own, and reads coproducts, antipodes, products and grafts off its int ids.
 Δ is multiplicative: a forest is cut run by run of equal trees (m copies deal out
-a multiset of cuts in m!/∏kᵢ! ways) onto the kept cuts of its tail, while a tree's
+a multiset of cuts in m!/∏kᵢ! ways), folded from the last run back, while a tree's
 cuts stay the plain product over its children, so the cocycle law compares two sums.
 """
 
@@ -52,7 +52,6 @@ class _Ids:
         self.keys, self.protos, self.objs, self.cuts = [], [], [], []  # per id; a forest's proto is None
         self.pieces: dict = {}  # comb tree id -> its edge sets (see edge_cuts)
         self.cores: dict = {}  # decorated tree id -> the comb tree ids of its core (see core)
-        self.tails: dict = {}  # sorted tree ids of a proper tail of 2+ trees -> its cuts (see forest_cuts)
 
     def number(self, key: tuple, proto=None) -> int:
         n = self.ids.get(key)
@@ -126,27 +125,22 @@ class _Ids:
 
     def forest_cuts(self, trees) -> Counter:
         """How often each (upper, lower) forest id pair is a cut of the forest of sorted tree ids ``trees``."""
-        if len(trees) == 1:
-            flat = self.cuts[trees[0]] or self.tree_cuts(trees[0])
-            return Counter(zip(flat[::2], flat[1::2]))
-        keys, number, tails = self.keys, self.number, self.tails
+        keys, number = self.keys, self.number
         starts = [i for i, n in enumerate(trees) if not i or n != trees[i - 1]] + [len(trees)]
-        # Runs of equal trees (run_cuts) are folded from the last back onto the longest tail held:
-        # a kept one (the cuts of each proper tail folded are kept), the last tree alone or no tree.
-        j = next(j for j, i in enumerate(starts) if i >= len(trees) - 1 or trees[i:] in tails)
-        tail = trees[starts[j]:]
-        if len(tail) > 1:
-            cuts = tails[tail] if j else Counter(tails[tail])  # the caller's copy is its own
+        # Runs of equal trees (run_cuts) are folded from the last back onto the flat cuts of
+        # the last tree if it is a run of its own, else onto the empty forest's one cut.
+        j = len(starts) - 1
+        if j and starts[j - 1] == len(trees) - 1:
+            j -= 1
+            flat = self.cuts[trees[-1]] or self.tree_cuts(trees[-1])
         else:
-            flat = (self.cuts[tail[0]] or self.tree_cuts(tail[0])) if tail else (number(()),) * 2
-            cuts = Counter(zip(flat[::2], flat[1::2]))
+            flat = (number(()),) * 2
+        cuts = Counter(zip(flat[::2], flat[1::2]))
         for j in reversed(range(j)):
             cuts, held = Counter(), cuts
             for up, low, ways in self.run_cuts(trees[starts[j]], starts[j + 1] - starts[j]):
                 for (u, l), c in held.items():
                     cuts[number(tuple(sorted(up + keys[u]))), number(tuple(sorted(low + keys[l])))] += ways * c
-            if j:
-                tails[trees[starts[j]:]] = cuts
         return cuts
 
     def run_cuts(self, n: int, m: int):

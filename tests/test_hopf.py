@@ -237,20 +237,6 @@ def test_one_table_keeps_ids_canonical_across_kinds_and_signatures():
         assert shared_tree_cuts(ids, t) == tree_cuts(t)
 
 
-def test_a_kept_tail_is_handed_out_as_a_copy():
-    # Numbered children first, the leaf has the least id, so the fold of (leaf, b, c) keeps the
-    # cuts of its tail (b, c); a caller that edits what forest_cuts gives it, as the cut mutants
-    # of the law tests do, edits a copy.
-    leaf, b, c = (parse_code(code) for code in ("()", "(())", "(()())"))
-    ids = _Ids()
-    tail = ids.forest(Forest([b, c]))
-    shared_coproduct(ids, Forest([leaf, b, c]))
-    assert ids.keys[tail] in ids.tails
-    ids.delta(tail).clear()
-    for f in (Forest([b, c]), Forest([leaf, leaf, b, c])):
-        assert shared_coproduct(ids, f) == coproduct(f)
-
-
 def test_a_forest_of_3000_runs_folds_without_recursion(monkeypatch):
     # With every tree's cuts cut down to the one under its root, the fold of 3000 distinct
     # trees has one term, and a fold that spent a frame per run would pass the recursion limit.

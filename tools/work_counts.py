@@ -12,7 +12,6 @@ one entry per ``hopf._Ids`` table it made, in the order they were made:
 - ``trees_cut`` and ``cuts``: the trees whose cuts were filled, and their cuts
 - ``edge_sets``: the antipode's edge sets (``_Ids.edge_cuts``)
 - ``objects``: the ids that hold an object, met or built
-- ``tails`` and ``tail_cuts``: the forest tails whose cuts were kept, and those cuts
 
 and ``graded``, the ``cache_info()`` of ``ptrees._graded`` after the command;
 the cache is emptied before each workload, as a fresh process starts it.  The
@@ -58,15 +57,12 @@ def recording():
 
 def table_counts(ids) -> dict:
     filled = [c for c in ids.cuts if c is not None]
-    tails = getattr(ids, "tails", {})  # a table without the tail memo keeps none
     return {
         "ids": len(ids.keys),
         "trees_cut": len(filled),
         "cuts": sum(len(c) for c in filled) // 2,
         "edge_sets": sum(map(len, ids.pieces.values())),
         "objects": sum(o is not None for o in ids.objs),
-        "tails": len(tails),
-        "tail_cuts": sum(map(len, tails.values())),
     }
 
 
