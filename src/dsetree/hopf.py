@@ -12,15 +12,15 @@ own, and reads coproducts, antipodes, products and grafts off its int ids.
 Δ is multiplicative: a forest is cut run by run of equal trees (m copies deal out
 a multiset of cuts in m!/∏kᵢ! ways), folded from the last run back, while a tree's
 cuts stay the plain product over its children, so the cocycle law compares two sums.
+Counts of cuts and antipode terms are plain dicts that never hold 0, so laws compare them with ``==``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations_with_replacement, product as iproduct, repeat
-from math import factorial, prod
+from itertools import accumulate, chain, combinations_with_replacement, groupby, product as iproduct, repeat
+from math import prod
 
 from .errors import MalformedCode
 from .linear import LinComb, Scalar, add_up, parse_scalar
@@ -119,11 +119,11 @@ class _Ids:
         """The id of the one-tree forest that grafts the members of forest ``f`` under a new comb root."""
         return self.number((self.number(("", *self.keys[f]), LEAF),))
 
-    def delta(self, n: int) -> Counter:
+    def delta(self, n: int) -> dict:
         """How often each (upper, lower) forest id pair is a cut of forest ``n``."""
         return self.forest_cuts(self.keys[n])
 
-    def forest_cuts(self, trees) -> Counter:
+    def forest_cuts(self, trees) -> dict:
         """How often each (upper, lower) forest id pair is a cut of the forest of sorted tree ids ``trees``."""
         keys, number = self.keys, self.number
         starts = [i for i, n in enumerate(trees) if not i or n != trees[i - 1]] + [len(trees)]
@@ -132,15 +132,15 @@ class _Ids:
         j = len(starts) - 1
         if j and starts[j - 1] == len(trees) - 1:
             j -= 1
-            flat = self.cuts[trees[-1]] or self.tree_cuts(trees[-1])
+            cuts = _count(self.cuts[trees[-1]] or self.tree_cuts(trees[-1]))
         else:
-            flat = (number(()),) * 2
-        cuts = Counter(zip(flat[::2], flat[1::2]))
+            cuts = {(number(()),) * 2: 1}
         for j in reversed(range(j)):
-            cuts, held = Counter(), cuts
+            cuts, held = {}, cuts
             for up, low, ways in self.run_cuts(trees[starts[j]], starts[j + 1] - starts[j]):
                 for (u, l), c in held.items():
-                    cuts[number(tuple(sorted(up + keys[u]))), number(tuple(sorted(low + keys[l])))] += ways * c
+                    pair = number(tuple(sorted(up + keys[u]))), number(tuple(sorted(low + keys[l])))
+                    cuts[pair] = cuts.get(pair, 0) + ways * c
         return cuts
 
     def run_cuts(self, n: int, m: int):
@@ -150,17 +150,18 @@ class _Ids:
         if m == 1:
             yield from zip(uppers, lowers, repeat(1))
             return
-        deals = factorial(m)
+        facts = [*accumulate(range(1, m + 1), int.__mul__, initial=1)]  # 0! .. m!
         for combo in combinations_with_replacement(range(len(uppers)), m):
             up, low = ((*chain.from_iterable(map(side.__getitem__, combo)),) for side in (uppers, lowers))
-            yield up, low, deals // prod(factorial(combo.count(i)) for i in set(combo))
+            yield up, low, facts[m] // prod(facts[len([*same])] for _, same in groupby(combo))
 
-    def antipode(self, n: int) -> Counter:
+    def antipode(self, n: int) -> dict:
         """The antipode of forest ``n`` per forest id: over every set of edges, the pieces left, signed."""
-        signed: Counter = Counter()
+        signed = {}
         for combo in iproduct(*map(self.edge_cuts, self.keys[n])):
             pieces = sorted(piece for cut in combo for piece in cut)
-            signed[self.number(tuple(pieces))] += (-1) ** len(pieces)
+            f = self.number(tuple(pieces))
+            signed[f] = signed.get(f, 0) + (-1) ** len(pieces)
         return signed
 
     def edge_cuts(self, n: int) -> list[tuple[int, ...]]:
@@ -192,6 +193,14 @@ class _Ids:
         obj = self.obj  # LinComb makes an int coefficient a Fraction and keeps a Fraction as it is
         terms = terms if den == 1 else {k: Fraction(c, den) for k, c in terms.items()}
         return LinComb({obj(k) if type(k) is int else tuple(map(obj, k)): c for k, c in terms.items()})
+
+
+def _count(flat) -> dict:
+    """How often each (upper, lower) pair of the flat cuts ``flat``, upper and lower in turn, occurs."""
+    counts = {}
+    for pair in zip(flat[::2], flat[1::2]):
+        counts[pair] = counts.get(pair, 0) + 1
+    return counts
 
 
 def tree_cuts(t) -> tuple[tuple[Forest, Forest], ...]:
@@ -273,9 +282,10 @@ def check_cocycle(degree_bound: int) -> CheckReport:
 
     def law(f: Forest):
         n = ids.forest(f)
-        rhs = Counter({(planted(n), empty): 1})
+        rhs = {(planted(n), empty): 1}
         for (upper, lower), c in ids.delta(n).items():
-            rhs[upper, planted(lower)] += c
+            pair = upper, planted(lower)
+            rhs[pair] = rhs.get(pair, 0) + c
         lhs = ids.delta(planted(n))
         return None if lhs == rhs else (ids.elem(rhs).text(), ids.elem(lhs).text())
 
@@ -296,9 +306,9 @@ def check_counit(degree_bound: int) -> CheckReport:
     def law(f: Forest):
         n = ids.forest(f)
         delta = ids.delta(n).items()  # each (upper, lower) pair once, so no two terms below share a key
-        left = Counter({lower: c for (upper, lower), c in delta if upper == empty})
-        right = Counter({upper: c for (upper, lower), c in delta if lower == empty})
-        expected = Counter({n: 1})
+        left = {lower: c for (upper, lower), c in delta if upper == empty}
+        right = {upper: c for (upper, lower), c in delta if lower == empty}
+        expected = {n: 1}
         if left != expected or right != expected:
             return (ids.elem(expected).text(), f"left={ids.elem(left).text()} right={ids.elem(right).text()}")
         return None

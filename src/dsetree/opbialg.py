@@ -11,7 +11,6 @@ identity.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache, partial
 from itertools import chain
 from typing import Optional
@@ -60,11 +59,10 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
     for op in sig.ops:
         for built in (t for n in range(1, node_bound + 2) for t in enumerate_by_nodes(sig, n) if t.op == op):
             flat = ids.tree_cuts(ids.tree(built))  # upper and lower in turn, the cut under the root first
-            lhs = Counter(zip(flat[::2], flat[1::2]))
+            lhs = hopf._count(flat)
             # The cocycle identity puts the empty forest, not the bare root
             # edge, below the cut under the root.
-            rhs = Counter(zip(flat[2::2], flat[3::2]))
-            rhs[flat[0], ids.number(())] += 1
+            rhs = hopf._count(flat[2:] + (flat[0], ids.number(())))
             if lhs != rhs:
                 return CocycleWitness(op, built.children, ids.elem(lhs), ids.elem(rhs))
     return None
@@ -85,7 +83,7 @@ def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
 
     def law(t: PTree):
         flat = ids.tree_cuts(ids.tree(t))  # upper and lower in turn; first the forest of t over the root edge
-        lhs = Counter(zip(map(core_of, flat[::2]), map(core_of, flat[1::2])))
+        lhs = hopf._count([*map(core_of, flat)])
         rhs = hopf_side(core_of(flat[0]))
         return None if lhs == rhs else (ids.elem(rhs).text(), ids.elem(lhs).text())
 

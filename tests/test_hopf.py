@@ -2,6 +2,7 @@ from collections import Counter
 from contextlib import suppress
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,6 +245,23 @@ def test_a_forest_of_3000_runs_folds_without_recursion(monkeypatch):
     monkeypatch.setattr(_Ids, "tree_cuts", lambda self, n: (self.number((n,)), self.number(())))
     forest = Forest(PTree(op, ()) for op in sig.ops)
     assert coproduct(forest) == HckTensor({(forest, EMPTY_FOREST): 1})
+
+
+def test_forty_equal_leaves_are_dealt_binomial_coefficients():
+    delta = coproduct(Forest([LEAF] * 40))
+    assert delta == HckTensor({(Forest([LEAF] * k), Forest([LEAF] * (40 - k))): comb(40, k) for k in range(41)})
+
+
+def test_cut_and_antipode_tables_hold_no_zero_count():
+    # The laws compare these tables with dict ==, which, unlike Counter ==, tells a
+    # zero count from a missing key; so no count may be zero.
+    ids = _Ids()
+    forests = [ids.forest(f) for f in up_to(enumerate_forests, 6)]
+    planar = [ids.number((ids.tree(t),)) for t in up_to(partial(enumerate_by_nodes, stable_signature(3)), 4)]
+    for n in forests + planar:
+        assert all(c > 0 for c in ids.delta(n).values()), ids.obj(n).code
+    for n in forests:
+        assert all(ids.antipode(n).values()), ids.obj(n).code
 
 
 def test_cut_layer_keeps_no_module_level_table():
