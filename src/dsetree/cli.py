@@ -29,10 +29,12 @@ def _load_signature(name: str) -> ptrees.Signature:
     if family in _FAMILIES:
         if colon and not k_text.isdecimal():
             raise DsetreeError(f"{family}:K needs a nonnegative integer K, got {k_text!r}")
+        if len(k_text) > 6:  # int() reads no K past its digit limit; the size cap refuses K >= 244 anyway
+            raise SizeLimit(f"{family}:K is capped at 6 digits, got {len(k_text)}")
         return _FAMILIES[family](int(k_text) if colon else 4)
-    with open(name, encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:  # the size is checked before any Operation is made; Operation and Signature check the fields
+    try:  # the size is checked before any Operation is made; json.load, Operation and Signature raise ValueErrors
+        with open(name, encoding="utf-8") as fh:
+            data = json.load(fh)
         ops = data["ops"]
         ptrees._check_signature_size(len(ops), sum(op["arity"] for op in ops if type(op["arity"]) is int))
         return ptrees.Signature(ptrees.Operation(op["name"], op["arity"]) for op in ops)
@@ -256,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         return _usage_error(f"cannot open {exc.filename}")
-    except (DsetreeError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except DsetreeError as exc:  # any other exception is a defect, and propagates
         return _usage_error(str(exc))
 
 

@@ -16,7 +16,7 @@ from itertools import chain
 from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidSpec, Nonfinite, OrderExceeded, SizeLimit
+from .errors import InvalidArgument, InvalidSpec, Nonfinite, OrderExceeded, SizeLimit
 from .hopf import HckElem, _Ids
 from .linear import MAX_COEFF_EXPONENT, add_up, parse_scalar
 from .ptrees import SMALL_ARITIES_BY_LEAVES, Signature
@@ -176,7 +176,7 @@ def spec_from_signature(sig: Signature, by: str, order: int) -> DSESpec:
     Operations of equal arity share one term, weighted by their number.
     """
     if by not in ("nodes", "leaves"):
-        raise ValueError("by must be 'nodes' or 'leaves'")
+        raise InvalidArgument("by must be 'nodes' or 'leaves'")
     if by == "leaves" and sig.has_small_arities():
         raise Nonfinite(SMALL_ARITIES_BY_LEAVES)
     arities = sorted(Counter(op.arity for op in sig.ops).items())
@@ -205,7 +205,7 @@ def load_spec(path: str) -> DSESpec:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, a file not in UTF-8 or an int past the digit limit
             raise InvalidSpec(f"cannot parse {path}: {exc}") from exc
     return spec_from_dict(data, name=path)
 

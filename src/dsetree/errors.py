@@ -9,6 +9,10 @@ class MalformedCode(DsetreeError):
     """A tree or forest code string could not be parsed."""
 
 
+class InvalidArgument(DsetreeError, ValueError):
+    """An argument lies outside the values its function accepts; a ``ValueError`` too."""
+
+
 class SizeLimit(DsetreeError):
     """A requested enumeration or expansion exceeds the configured bound."""
 

@@ -1,12 +1,11 @@
 """The bialgebra of decorated operadic trees.
 
-Its cuts and coproduct are those of :mod:`dsetree.hopf`, and every law here but Faa di
-Bruno reads them off one cut table.  Cut edges are split in two rather than removed: the
-lower part of a cut keeps a leaf edge per severed slot (the bare root edge for the cut
-under the root), and the crown keeps one piece per leaf edge of the lower part (a bare
-edge when the leaf edge was original).  This module also houses the core homomorphism to
-the rooted-forest Hopf algebra, Green functions graded by leaf count, and their coproduct
-identity.
+Its cuts and coproduct are those of :mod:`dsetree.hopf`, and every law here reads them off
+one cut table.  Cut edges are split in two rather than removed: the lower part of a cut
+keeps a leaf edge per severed slot (the bare root edge for the cut under the root), and
+the crown keeps one piece per leaf edge of the lower part (a bare edge when the leaf edge
+was original).  This module also houses the core homomorphism to the rooted-forest Hopf
+algebra, Green functions graded by leaf count, and their coproduct identity.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from itertools import chain
 from typing import Optional
 
 from . import hopf
-from .hopf import coproduct
-from .linear import LinComb
+from .linear import LinComb, add_up
 from .ptrees import Operation, PTree, Signature, by_leaves, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
 from .trees import Forest, _Frozen
@@ -98,35 +96,32 @@ def green(sig: Signature, node_bound: int) -> dict[int, list[PTree]]:
 
 
 def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
-    """Compare the coproduct of the Green function with the leaf-graded
-    expansion, restricted (exactly) to tensor terms of total node count up to
-    the bound."""
-    graded = green(sig, node_bound)
-    trees = [t for group in graded.values() for t in group]
-    total = LinComb({Forest([t]): 1 for t in trees})
-    lhs = coproduct(total)
+    """Compare the coproduct of the Green function with the leaf-graded expansion, restricted
+    (exactly) to tensor terms of total node count up to the bound.  Both sides are sums on one cut
+    table's ids, split by node count, so that only products and pairs within the bound are formed."""
+    ids = hopf._Ids()
+    total, components = {}, {}  # node count -> {one-tree forest id: 1}, and that per leaf count
+    for leaves, group in green(sig, node_bound).items():
+        for t in group:
+            n, size = ids.number((ids.tree(t),)), t.code.count("(")
+            total.setdefault(size, {})[n] = 1
+            components.setdefault(leaves, {}).setdefault(size, {})[n] = 1
+    lhs = add_up(chain.from_iterable(ids.delta(n).items() for part in total.values() for n in part))
 
-    def bounded(x: LinComb, y: LinComb) -> list:
-        """Term pairs ``(f, c, g, d)`` of ``x`` and ``y`` with degrees summing to at most
-        the bound; each degree is read off its code once, not once per pair."""
-        sized = [(g, d, g.degree) for g, d in y.terms.items()]
-        return [
-            (f, c, g, d)
-            for f, c in x.terms.items()
-            for room in [node_bound - f.degree]
-            for g, d, size in sized
-            if size <= room
-        ]
+    def within(x: dict, y: dict) -> list:
+        """The parts of ``x`` and ``y`` in pairs whose node counts sum to at most the bound, with that sum."""
+        return [(i + j, x[i], y[j]) for i in x for j in y if i + j <= node_bound]
 
-    pairs = []
-    power = LinComb.one()
-    for n in range(max(graded, default=0) + 1):
-        component = LinComb({Forest([t]): 1 for t in graded.get(n, ())})
-        pairs.extend(((f, g), c * d) for f, c, g, d in bounded(power, component))
-        power = LinComb.sum((f.union(g), c * d) for f, c, g, d in bounded(power, total))
-    rhs = LinComb.sum(pairs)
-
+    pairs, power = [], {0: {ids.number(()): 1}}  # power: the Green function's n-th power, split by node count
+    for n in range(max(components, default=0) + 1):
+        parts = within(power, components.get(n, {}))
+        pairs += [((f, g), c * d) for _, x, y in parts for f, c in x.items() for g, d in y.items()]
+        grown = {}
+        for size, x, y in within(power, total):
+            grown.setdefault(size, []).extend(ids.product(x, y).items())
+        power = {size: add_up(terms) for size, terms in grown.items()}
+    rhs, checked = add_up(pairs), sum(map(len, total.values()))
     if lhs == rhs:
-        return CheckReport("Faa di Bruno", True, len(trees))
-    bad = tuple((code, "0", str(c)) for code, c in (lhs - rhs).rows()[:5])
-    return CheckReport("Faa di Bruno", False, len(trees), bad)
+        return CheckReport("Faa di Bruno", True, checked)
+    bad = tuple((code, "0", str(c)) for code, c in (ids.elem(lhs) - ids.elem(rhs)).rows()[:5])
+    return CheckReport("Faa di Bruno", False, checked, bad)

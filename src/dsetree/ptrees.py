@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 from itertools import chain, combinations, product as iproduct, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
+from .errors import ArityMismatch, InvalidArgument, MalformedCode, Nonfinite, SizeLimit
 from .report import up_to
 from .trees import MAX_ENUM_NODES, Canonical, Forest, _Frozen, _check_depth, _check_size, _nesting
 
@@ -35,15 +35,15 @@ class Operation(_Frozen):
 
     def __init__(self, name: str, arity: int) -> None:
         if not isinstance(name, str) or type(arity) is not int:
-            raise ValueError(f"an operation has a str name and an int arity, got {name!r} and {arity!r}")
+            raise InvalidArgument(f"an operation has a str name and an int arity, got {name!r} and {arity!r}")
         if arity < 0:
-            raise ValueError("arities must be nonnegative")
+            raise InvalidArgument("arities must be nonnegative")
         if any(c in name for c in "(),|"):
-            raise ValueError("operation names may not contain tree-codec characters")
+            raise InvalidArgument("operation names may not contain tree-codec characters")
         # A nameless nullary node would print as "()", the code of a
         # combinatorial leaf, and forests of both kinds may share one cut table.
         if not name:
-            raise ValueError("operation names must be nonempty")
+            raise InvalidArgument("operation names must be nonempty")
         super().__init__(name, arity)
 
 
@@ -55,7 +55,7 @@ class Signature(_Frozen):
     def __init__(self, ops: Iterable[Operation]) -> None:
         ops = tuple(ops)  # a tuple, as the signature keys the enumeration cache
         if len({op.name for op in ops}) != len(ops):
-            raise ValueError("operation names must be unique")
+            raise InvalidArgument("operation names must be unique")
         super().__init__(ops)
 
     def op(self, name: str) -> Operation:
@@ -156,7 +156,7 @@ def list_signature(max_arity: int) -> Signature:
 def stable_signature(max_arity: int) -> Signature:
     """One operation per arity 2..max_arity (no nullary or unary nodes)."""
     if max_arity < 2:
-        raise ValueError("stable signatures need max_arity >= 2")
+        raise InvalidArgument("stable signatures need max_arity >= 2")
     _check_signature_size(max_arity - 1, max_arity * (max_arity + 1) // 2 - 1)
     return Signature(tuple(Operation(f"v{k}", k) for k in range(2, max_arity + 1)))
 
@@ -247,12 +247,9 @@ def core(t: PTree) -> Forest:
 
 def core_census(sig: Signature, k: int, by: str = "nodes") -> dict[Forest, int]:
     """Count trees (with ``k`` nodes or leaves) grouped by their core."""
-    if by == "nodes":
-        population = enumerate_by_nodes(sig, k)
-    elif by == "leaves":
-        population = enumerate_by_leaves(sig, k)
-    else:
-        raise ValueError("by must be 'nodes' or 'leaves'")
+    if by not in ("nodes", "leaves"):
+        raise InvalidArgument("by must be 'nodes' or 'leaves'")
+    population = enumerate_by_nodes(sig, k) if by == "nodes" else enumerate_by_leaves(sig, k)
     from .hopf import _Ids  # hopf imports this module
     ids = _Ids()
     counts = Counter(ids.number(ids.core(ids.tree(t))) for t in population)

@@ -14,7 +14,7 @@ from itertools import accumulate
 from math import factorial, prod
 from typing import Iterable, Iterator
 
-from .errors import MalformedCode, SizeLimit
+from .errors import InvalidArgument, MalformedCode, SizeLimit
 
 MAX_ENUM_NODES = 12
 MAX_DEPTH = 200  # deepest nesting parsed, as depth costs work: n + 1 cuts of n nodes and 2^(n-1) edge sets for a ladder
@@ -208,9 +208,9 @@ def _children_first(root, done, children=lambda node: node.children) -> dict:
 
 
 def _check_size(what: str, value: int, cap: int, low: int = 0) -> None:
-    """The one size check of the enumerators: ``ValueError`` below ``low``, ``SizeLimit`` above ``cap``."""
+    """The one size check of the enumerators: ``InvalidArgument`` below ``low``, ``SizeLimit`` above ``cap``."""
     if value < low:
-        raise ValueError(f"{what} must be at least {low}, got {value}")
+        raise InvalidArgument(f"{what} must be at least {low}, got {value}")
     if value > cap:
         raise SizeLimit(f"{what} is capped at {cap}, got {value}")
 

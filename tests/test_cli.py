@@ -235,6 +235,41 @@ def test_directory_given_as_a_file_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: cannot open {tmp_path}\n"
 
 
+DIGITS_5001 = "1" * 5001  # past Python's 4300-digit limit for reading an int
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["enumerate", "--signature", "stable:1", "--n", "2"], {}),
+    (["enumerate", "--signature", "list:" + DIGITS_5001, "--n", "2"], {}),
+    (["enumerate", "--signature", "latin1.json", "--n", "2"], {"latin1.json": '{"ops": [{"name": "\xe9", "arity": 2}]}'}),
+    (["solve", "--spec", "latin1.json", "--order", "2"],
+     {"latin1.json": '{"order": 2, "terms": [{"alpha_power": 1, "coeff": "1", "x_power": 2}]} \xe9'}),
+    (["enumerate", "--signature", "wide.json", "--n", "2"], {"wide.json": '{"ops": [{"name": "w", "arity": %s}]}'}),
+    (["solve", "--spec", "big.json", "--order", "2"],
+     {"big.json": '{"order": 2, "terms": [{"alpha_power": 1, "coeff": %s, "x_power": 2}]}'}),
+])
+def test_input_errors_that_are_value_errors_exit_2(argv, files, tmp_path, monkeypatch, capsys):
+    # Files are written in Latin-1, so a non-ASCII character is no UTF-8; %s stands for a 5001-digit literal.
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.replace("%s", DIGITS_5001).encode("latin-1"))
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("defect", [ValueError, KeyError])
+def test_a_defect_inside_a_command_propagates(defect, monkeypatch):
+    # Only the package's own errors and the file errors are usage errors; a bare ValueError or KeyError is a defect.
+    def broken(*args, **kwargs):
+        raise defect("a defect")
+
+    monkeypatch.setattr(ptrees, "by_leaves", broken)
+    with pytest.raises(defect, match="a defect"):
+        cli.main(["green", "--signature", "binary", "--bound", "2"])
+
+
 @pytest.mark.parametrize("argv, size", [
     (["enumerate", "--signature", "list:100000", "--n", "0"], 5_000_150_001),
     (["enumerate", "--signature", "stable:100000", "--n", "1"], 5_000_149_998),

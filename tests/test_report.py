@@ -8,7 +8,7 @@ from dsetree.cli import main
 from dsetree.hopf import antipode, check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
 from dsetree.opbialg import check_core_homomorphism, check_faa_di_bruno
-from dsetree.ptrees import PTree, binary_signature, core, enumerate_by_nodes, stable_signature
+from dsetree.ptrees import PTree, binary_signature, by_leaves, core, enumerate_by_nodes, stable_signature
 from dsetree.report import check_coassociative, up_to
 from dsetree.trees import LEAF, CombTree, Forest, enumerate_forests, parse_forest
 
@@ -89,14 +89,37 @@ def at_ids(mutant):
     return lift
 
 
-# Each law check, the function its coproduct mutants replace, and the mutants it
-# must report.  The counit, antipode, cocycle and core-homomorphism laws read the
-# cut table's ids and never call hopf.coproduct, and the Faa di Bruno check reaches
-# the table through hopf.coproduct, so their mutants live in _Ids.forest_cuts.
+def double_every_coefficient(product):
+    """``_Ids.product`` with every coefficient doubled."""
+
+    def mutant(self, x, y):
+        return {f: 2 * c for f, c in product(self, x, y).items()}
+
+    return mutant
+
+
+def drop_the_largest_id(product):
+    """``_Ids.product`` without the term of its largest forest id, where it has two terms or more."""
+
+    def mutant(self, x, y):
+        terms = dict(product(self, x, y))
+        if len(terms) > 1:
+            del terms[max(terms)]
+        return terms
+
+    return mutant
+
+
+# Each law check, the function its mutants replace, and the mutants it must
+# report.  The counit, antipode, cocycle, core-homomorphism and Faa di Bruno laws
+# read the cut table's ids and never call hopf.coproduct, so their coproduct
+# mutants live in _Ids.forest_cuts; the Faa di Bruno check also multiplies the
+# powers of the Green function with _Ids.product.
 # A law blind to a mutant is not paired with it: the counit laws ignore the cuts
 # with both factors nonempty, and in a commutative algebra the counit and
 # antipode laws also hold for the coproduct with its factors swapped.
 ALL_AT_IDS = tuple(map(at_ids, (drop_one_cut, off_by_one, swap_factors)))
+PRODUCT_MUTANTS = (double_every_coefficient, drop_the_largest_id)
 LAW_CHECKS = (
     (partial(check_counit, 4), hopf._Ids, "forest_cuts", (at_ids(off_by_one),)),
     (partial(check_antipode, 4), hopf._Ids, "forest_cuts", (at_ids(drop_one_cut), at_ids(off_by_one))),
@@ -104,6 +127,8 @@ LAW_CHECKS = (
     (partial(check_core_homomorphism, binary_signature(), 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
     (partial(check_faa_di_bruno, binary_signature(), 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
     (partial(check_faa_di_bruno, stable_signature(3), 3), hopf._Ids, "forest_cuts", ALL_AT_IDS),
+    (partial(check_faa_di_bruno, binary_signature(), 4), hopf._Ids, "product", PRODUCT_MUTANTS),
+    (partial(check_faa_di_bruno, stable_signature(3), 3), hopf._Ids, "product", PRODUCT_MUTANTS),
 )
 
 
@@ -179,10 +204,12 @@ def test_core_homomorphism_check_takes_each_core_once(monkeypatch):
 
 
 def test_core_homomorphism_check_builds_no_tree_or_forest(monkeypatch):
+    # Nor does the Faa di Bruno check, which builds no LinComb either, so it
+    # neither calls hopf.coproduct nor adds up with LinComb.sum.
     sig = stable_signature(3)
-    up_to(partial(enumerate_by_nodes, sig), 3)  # the inputs, enumerated and cached before counting
+    by_leaves(sig, 3)  # the inputs, enumerated and cached before counting
     built = Counter()
-    for cls in (PTree, CombTree, Forest):
+    for cls in (PTree, CombTree, Forest, LinComb):
 
         def counted(self, *args, init=cls.__init__, name=cls.__name__):
             built[name] += 1
@@ -190,6 +217,7 @@ def test_core_homomorphism_check_builds_no_tree_or_forest(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counted)
     assert check_core_homomorphism(sig, 3).passed
+    assert check_faa_di_bruno(sig, 3).passed
     assert built == Counter()
 
 
@@ -248,6 +276,29 @@ def test_core_homomorphism_failure_prints_the_same_bytes(monkeypatch, capsys):
         patch.setattr(hopf._Ids, "forest_cuts", at_ids(swap_factors)(hopf._Ids.forest_cuts))
         assert main(["check", "--law", "core-hom", "--signature", "binary", "--bound", "3"]) == 1
     assert capsys.readouterr().out == CORE_HOM_SWAP_STDOUT
+
+
+# Stdout of the stable:3 Faa di Bruno check at bound 3 with drop_one_cut in
+# place, as the check printed it while it still summed LinCombs of Forests
+# (the mutant then reached it through hopf.coproduct).
+FAA_DI_BRUNO_DROP_ONE_CUT_STDOUT = "FAIL (Faa di Bruno, 79 inputs)\n" + "\n".join(
+    f"  counterexample: input={term} expected=0 actual={c}"
+    for term, c in (
+        ("v2(|,|)*|(x)v2(|,|)", -2),
+        ("v2(|,|)*|*|(x)v2(v2(|,|),|)", -2),
+        ("v2(|,|)*|*|(x)v2(|,v2(|,|))", -3),
+        ("v2(|,|)*|*|(x)v3(|,|,|)", -3),
+        ("v2(|,|)*|*|*|(x)v3(v2(|,|),|,|)", -2),
+    )
+) + " [bound <= 3]\n"
+
+
+def test_faa_di_bruno_failure_prints_the_same_bytes(monkeypatch, capsys):
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(hopf._Ids, "forest_cuts", at_ids(drop_one_cut)(hopf._Ids.forest_cuts))
+        assert main(["check", "--law", "faa-di-bruno", "--signature", "stable:3", "--bound", "3"]) == 1
+    assert capsys.readouterr().out == FAA_DI_BRUNO_DROP_ONE_CUT_STDOUT
 
 
 def test_coassociativity_driver_coefficients():

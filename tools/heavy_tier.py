@@ -22,8 +22,7 @@ first and every raw run.  The script exits 1, naming the command, when the
 runs of a command do not all give the same exit code and stdout digest, so a
 pair whose outputs differ never reads as a speed-up.  Without ``--command``
 the two stable:4 checks at bound 5, the antipode check at degree 8 and the
-Faa di Bruno check over stable:3 at bound 5, the heaviest law left on
-``LinComb`` arithmetic, are run.
+Faa di Bruno check over stable:3 at bound 5 are run.
 """
 
 from __future__ import annotations
