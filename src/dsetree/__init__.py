@@ -7,7 +7,8 @@ cut bialgebra and core homomorphism, and structural-recursion (fold) checking.
 
 from .dse import DSESpec, DSETerm, Series, solve
 from .hopf import HckElem, HckTensor, antipode, bplus, coproduct, counit, product
-from .ptrees import NIL, Operation, PTree, Signature, core
+from .opbialg import core
+from .ptrees import NIL, Operation, PTree, Signature
 from .trees import CombTree, Forest, canon_code, graft, parse_code
 from .wtypes import FoldAlgebra, fold
 

@@ -17,9 +17,10 @@ from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgument, InvalidSpec, Nonfinite, OrderExceeded, SizeLimit
-from .hopf import HckElem, _Ids
+from .hopf import HckElem
 from .linear import MAX_COEFF_EXPONENT, add_up, parse_scalar
 from .ptrees import SMALL_ARITIES_BY_LEAVES, Signature
+from .table import Table
 from .trees import _Frozen
 
 MAX_ORDER = 10
@@ -80,11 +81,11 @@ def series_coefficient(s: Series, k: int) -> HckElem:
 def series_power(s: Series, m: int, j: int) -> HckElem:
     """Degree-``j`` coefficient of the ``m``-th power of ``s``."""
     series_coefficient(s, j)  # OrderExceeded past the truncation order
-    ids = _Ids()
+    ids = Table()
     return ids.elem(_power_coefficient(ids, list(map(ids.numbered, s.coeffs)), m, j, {}))
 
 
-def _power_coefficient(ids: _Ids, coeffs: Sequence[dict], m: int, j: int, memo: dict) -> dict:
+def _power_coefficient(ids: Table, coeffs: Sequence[dict], m: int, j: int, memo: dict) -> dict:
     # The binomial theorem with X = c_0 + Y: [X^m]_j = sum_{i <= min(m, j)} C(m, i) c_0^(m-i) [Y^i]_j,
     # whose work does not grow with m; [Y^i]_j needs only c_1..c_j, so one memo serves a whole solve.
     return add_up(
@@ -94,10 +95,10 @@ def _power_coefficient(ids: _Ids, coeffs: Sequence[dict], m: int, j: int, memo: 
     )
 
 
-def _y_power(ids: _Ids, coeffs: Sequence[dict], i: int, j: int, memo: dict) -> dict:
+def _y_power(ids: Table, coeffs: Sequence[dict], i: int, j: int, memo: dict) -> dict:
     """[Y^i]_j = sum_l c_l [Y^(i-1)]_(j-l); l stops at j - i + 1, as [Y^(i-1)] starts at degree i - 1."""
     if i == 0:
-        return {ids.number(()): 1} if j == 0 else {}
+        return {ids.forest_of(()): 1} if j == 0 else {}
     if (i, j) not in memo:
         memo[i, j] = add_up(chain.from_iterable(
             ids.product(coeffs[l], _y_power(ids, coeffs, i - 1, j - l, memo)).items() for l in range(1, j - i + 2)
@@ -105,17 +106,17 @@ def _y_power(ids: _Ids, coeffs: Sequence[dict], i: int, j: int, memo: dict) -> d
     return memo[i, j]
 
 
-def _times_power(ids: _Ids, x: dict, n: int, y: dict) -> dict:
+def _times_power(ids: Table, x: dict, n: int, y: dict) -> dict:
     """``x`` to the ``n`` times ``y``, squaring ``x``: O(log n) products, none when ``x`` is the unit."""
-    if n == 0 or x == {ids.number(()): 1}:
+    if n == 0 or x == {ids.forest_of(()): 1}:
         return y
     return _times_power(ids, ids.product(x, x), n // 2, ids.product(x, y) if n % 2 else y)
 
 
-def _rhs(ids: _Ids, terms: Sequence[DSETerm], coeffs: Sequence[dict], k: int, memo: dict) -> dict:
+def _rhs(ids: Table, terms: Sequence[DSETerm], coeffs: Sequence[dict], k: int, memo: dict) -> dict:
     """alpha^k coefficient of ``1 + sum_t w * alpha^a * B+(X^m)`` over ``terms``; ``coeffs`` holds c_0..c_{k-1}."""
     return add_up(chain(
-        [(ids.number(()), 1)] if k == 0 else [],
+        [(ids.forest_of(()), 1)] if k == 0 else [],
         (
             (ids.graft(n), term.coeff * c)
             for term in terms
@@ -140,7 +141,7 @@ def solve(spec: DSESpec) -> Series:
     if top >= limit and d**spec.order >= limit:
         raise SizeLimit(f"the order-{spec.order} coefficient's denominator may exceed {MAX_COEFF_EXPONENT} digits")
     terms = [DSETerm(t.alpha_power, int(t.coeff * d**t.alpha_power), t.x_power) for t in used]
-    ids, coeffs, memo = _Ids(), [], {}
+    ids, coeffs, memo = Table(), [], {}
     for k in range(spec.order + 1):
         coeffs.append(_rhs(ids, terms, coeffs, k, memo))
     return Series(tuple(ids.elem(e, d**k) for k, e in enumerate(coeffs)))
@@ -148,7 +149,7 @@ def solve(spec: DSESpec) -> Series:
 
 def residual(spec: DSESpec, s: Series) -> list[HckElem]:
     """Per-order difference between ``s`` and the equation's right-hand side, on the coefficients as given."""
-    ids = _Ids()
+    ids = Table()
     coeffs, memo = list(map(ids.numbered, s.coeffs)), {}
     return [c - ids.elem(_rhs(ids, spec.terms, coeffs, k, memo)) for k, c in enumerate(s.coeffs)]
 

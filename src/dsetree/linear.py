@@ -3,8 +3,8 @@
 One type serves both the rooted-forest Hopf algebra and the operadic-tree
 bialgebra at their boundary: keys are :class:`Forest` values or tuples of them
 (tensors), and coefficients exact :class:`fractions.Fraction` values, never 0.
-Inside, :mod:`dsetree.hopf` computes on the int ids of one ``hopf._Ids`` table
-(in through ``_Ids.numbered``, out through ``_Ids.elem``) and sums with :func:`add_up`.
+Inside, the maps and laws compute on the int ids of one :class:`dsetree.table.Table`
+(in through ``Table.numbered``, out through ``Table.elem``) and sum with :func:`add_up`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """The bialgebra of decorated operadic trees.
 
-Its cuts and coproduct are those of :mod:`dsetree.hopf`, and every law here reads them off
-one cut table.  Cut edges are split in two rather than removed: the lower part of a cut
-keeps a leaf edge per severed slot (the bare root edge for the cut under the root), and
-the crown keeps one piece per leaf edge of the lower part (a bare edge when the leaf edge
-was original).  This module also houses the core homomorphism to the rooted-forest Hopf
-algebra, Green functions graded by leaf count, and their coproduct identity.
+Its cuts and coproduct are those of :mod:`dsetree.hopf`, and every law here reads them off one
+:class:`~dsetree.table.Table`.  Cut edges are split in two rather than removed: the lower part of a cut keeps
+a leaf edge per severed slot (the bare root edge for the cut under the root), and the crown keeps one piece per
+leaf edge of the lower part (a bare edge when the leaf edge was original).  This module also houses the core map
+to rooted forests and its census, Green functions graded by leaf count, and their coproduct identity.
 """
 
 from __future__ import annotations
@@ -14,10 +13,11 @@ from functools import cache, partial
 from itertools import chain
 from typing import Optional
 
-from . import hopf
+from .errors import InvalidArgument
 from .linear import LinComb, add_up
-from .ptrees import Operation, PTree, Signature, by_leaves, enumerate_by_nodes
+from .ptrees import Operation, PTree, Signature, by_leaves, enumerate_by_leaves, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
+from .table import Table, count
 from .trees import Forest, _Frozen
 
 
@@ -53,14 +53,14 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
     root edge below, so the search stops at the first operation over bare edges.
     One cut table serves the whole search; only a witness leaves it.
     """
-    ids = hopf._Ids()
+    ids = Table()
     for op in sig.ops:
         for built in (t for n in range(1, node_bound + 2) for t in enumerate_by_nodes(sig, n) if t.op == op):
             flat = ids.tree_cuts(ids.tree(built))  # upper and lower in turn, the cut under the root first
-            lhs = hopf._count(flat)
+            lhs = count(flat)
             # The cocycle identity puts the empty forest, not the bare root
             # edge, below the cut under the root.
-            rhs = hopf._count(flat[2:] + (flat[0], ids.number(())))
+            rhs = count(flat[2:] + (flat[0], ids.forest_of(())))
             if lhs != rhs:
                 return CocycleWitness(op, built.children, ids.elem(lhs), ids.elem(rhs))
     return None
@@ -69,19 +69,35 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
 def check_op_coassociativity(sig: Signature, node_bound: int) -> CheckReport:
     """Exhaustive coassociativity check on trees up to the node bound."""
     # Each input is numbered as its one-tree forest, which the check meets inside it too.
-    ids, trees = hopf._Ids(), up_to(partial(enumerate_by_nodes, sig), node_bound)
-    return check_coassociative("operadic coassociativity", trees, lambda t: ids.number((ids.tree(t),)), ids.delta)
+    ids, trees = Table(), up_to(partial(enumerate_by_nodes, sig), node_bound)
+    return check_coassociative("operadic coassociativity", trees, lambda t: ids.forest_of((ids.tree(t),)), ids.delta)
+
+
+def core(t: PTree) -> Forest:
+    """Combinatorial tree of inner edges: decorations and outer edges dropped, on one fresh cut table."""
+    ids = Table()
+    return ids.obj(ids.forest_of(ids.core(ids.tree(t))))
+
+
+def core_census(sig: Signature, k: int, by: str = "nodes") -> dict[Forest, int]:
+    """Count trees (with ``k`` nodes or leaves) grouped by their core."""
+    if by not in ("nodes", "leaves"):
+        raise InvalidArgument("by must be 'nodes' or 'leaves'")
+    population = enumerate_by_nodes(sig, k) if by == "nodes" else enumerate_by_leaves(sig, k)
+    ids = Table()
+    counts = add_up((ids.forest_of(ids.core(ids.tree(t))), 1) for t in population)
+    return {ids.obj(n): c for n, c in counts.items()}
 
 
 def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
     """Verify that taking cores intertwines the two coproducts."""
-    ids = hopf._Ids()
-    core_of = cache(lambda n: ids.number(tuple(sorted(chain.from_iterable(map(ids.core, ids.keys[n]))))))
+    ids = Table()
+    core_of = cache(lambda n: ids.forest_of(chain.from_iterable(map(ids.core, ids.parts(n)))))
     hopf_side = cache(ids.delta)
 
     def law(t: PTree):
         flat = ids.tree_cuts(ids.tree(t))  # upper and lower in turn; first the forest of t over the root edge
-        lhs = hopf._count([*map(core_of, flat)])
+        lhs = count([*map(core_of, flat)])
         rhs = hopf_side(core_of(flat[0]))
         return None if lhs == rhs else (ids.elem(rhs).text(), ids.elem(lhs).text())
 
@@ -99,11 +115,11 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
     """Compare the coproduct of the Green function with the leaf-graded expansion, restricted
     (exactly) to tensor terms of total node count up to the bound.  Both sides are sums on one cut
     table's ids, split by node count, so that only products and pairs within the bound are formed."""
-    ids = hopf._Ids()
+    ids = Table()
     total, components = {}, {}  # node count -> {one-tree forest id: 1}, and that per leaf count
     for leaves, group in green(sig, node_bound).items():
         for t in group:
-            n, size = ids.number((ids.tree(t),)), t.code.count("(")
+            n, size = ids.forest_of((ids.tree(t),)), t.code.count("(")
             total.setdefault(size, {})[n] = 1
             components.setdefault(leaves, {}).setdefault(size, {})[n] = 1
     lhs = add_up(chain.from_iterable(ids.delta(n).items() for part in total.values() for n in part))
@@ -112,7 +128,7 @@ def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
         """The parts of ``x`` and ``y`` in pairs whose node counts sum to at most the bound, with that sum."""
         return [(i + j, x[i], y[j]) for i in x for j in y if i + j <= node_bound]
 
-    pairs, power = [], {0: {ids.number(()): 1}}  # power: the Green function's n-th power, split by node count
+    pairs, power = [], {0: {ids.forest_of(()): 1}}  # power: the Green function's n-th power, split by node count
     for n in range(max(components, default=0) + 1):
         parts = within(power, components.get(n, {}))
         pairs += [((f, g), c * d) for _, x, y in parts for f, c in x.items() for g, d in y.items()]

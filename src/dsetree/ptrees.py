@@ -1,22 +1,22 @@
-"""Planar signatures, their decorated operadic trees, and the core map.
+"""Planar signatures, their decorated operadic trees, and their enumeration.
 
 A signature lists operations with finite ordered arities; its trees are the
 least solution of ``X = 1 + P(X)``, approximated here either by node count,
-by leaf count, or by height (the Kleene chain).  The core map forgets
-decorations and outer edges, landing in combinatorial forests.
+by leaf count, or by height (the Kleene chain).  The core map, which forgets
+decorations and outer edges, lives in :mod:`dsetree.opbialg`.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import lru_cache, partial
 from itertools import chain, combinations, product as iproduct, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, InvalidArgument, MalformedCode, Nonfinite, SizeLimit
 from .report import up_to
-from .trees import MAX_ENUM_NODES, Canonical, Forest, _Frozen, _check_depth, _check_size, _nesting
+from .trees import MAX_ENUM_NODES, Canonical, _Frozen, _check_depth, _check_size, _nesting
 
 MAX_LEAVES = 10
 MAX_HEIGHT = 9
@@ -236,21 +236,3 @@ def kleene_layer(sig: Signature, k: int) -> set[PTree]:
 def _stage_size(sig: Signature, s: int) -> int:
     """The size of ``1 + P(X)`` for a stage of ``s`` trees: distinct child tuples print distinct codes."""
     return 1 + sum(s ** op.arity for op in sig.ops)
-
-
-def core(t: PTree) -> Forest:
-    """Combinatorial tree of inner edges: decorations and outer edges dropped, on one fresh cut table."""
-    from .hopf import _Ids  # hopf imports this module
-    ids = _Ids()
-    return ids.obj(ids.number(ids.core(ids.tree(t))))
-
-
-def core_census(sig: Signature, k: int, by: str = "nodes") -> dict[Forest, int]:
-    """Count trees (with ``k`` nodes or leaves) grouped by their core."""
-    if by not in ("nodes", "leaves"):
-        raise InvalidArgument("by must be 'nodes' or 'leaves'")
-    population = enumerate_by_nodes(sig, k) if by == "nodes" else enumerate_by_leaves(sig, k)
-    from .hopf import _Ids  # hopf imports this module
-    ids = _Ids()
-    counts = Counter(ids.number(ids.core(ids.tree(t))) for t in population)
-    return {ids.obj(n): c for n, c in counts.items()}

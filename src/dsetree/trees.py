@@ -208,11 +208,13 @@ def _children_first(root, done, children=lambda node: node.children) -> dict:
 
 
 def _check_size(what: str, value: int, cap: int, low: int = 0) -> None:
-    """The one size check of the enumerators: ``InvalidArgument`` below ``low``, ``SizeLimit`` above ``cap``."""
+    """The one size check of the enumerators: ``InvalidArgument`` below ``low``, ``SizeLimit`` above ``cap``.
+    A value of 10**100 or more in size is named by that bound, as Python prints no int of over 4300 digits."""
+    got = value if -(10**100) < value < 10**100 else "-10**100 or less" if value < 0 else "10**100 or more"
     if value < low:
-        raise InvalidArgument(f"{what} must be at least {low}, got {value}")
+        raise InvalidArgument(f"{what} must be at least {low}, got {got}")
     if value > cap:
-        raise SizeLimit(f"{what} is capped at {cap}, got {value}")
+        raise SizeLimit(f"{what} is capped at {cap}, got {got}")
 
 
 @lru_cache(maxsize=None)

@@ -85,13 +85,13 @@ def test_criterion_5_core_census_equals_dse_coefficients():
         quadratic = dse.solve(dse.quadratic_spec(5))
         binary = ptrees.binary_signature()
         for k in range(6):
-            census = ptrees.core_census(binary, k, by="nodes")
+            census = opbialg.core_census(binary, k, by="nodes")
             expected = {f: int(c) for f, c in quadratic.coeffs[k].terms.items()}
             assert census == expected, f"binary census mismatch at {k}"
         geometric = dse.solve(dse.geometric_spec(5))
         for k in range(6):
             sig = ptrees.stable_signature(max(2, k + 1))
-            census = ptrees.core_census(sig, k + 1, by="leaves")
+            census = opbialg.core_census(sig, k + 1, by="leaves")
             expected = {f: int(c) for f, c in geometric.coeffs[k].terms.items()}
             assert census == expected, f"stable census mismatch at {k}"
     report("core censuses equal equation coefficients (k <= 5)")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dsetree import cli, dse, ptrees, trees, wtypes
+from dsetree import cli, dse, opbialg, ptrees, trees, wtypes
 from dsetree.errors import Nonfinite
 
 
@@ -301,7 +301,7 @@ def test_large_arity_enumerates(tmp_path, capsys):
 
 def enumerated_census_output(sig, n, by, fmt):
     """The census of enumerated trees, printed as the CLI prints a census."""
-    items = sorted(ptrees.core_census(sig, n, by=by).items(), key=lambda kv: kv[0].code)
+    items = sorted(opbialg.core_census(sig, n, by=by).items(), key=lambda kv: kv[0].code)
     if fmt == "structured":
         return json.dumps({f.code: c for f, c in items}, indent=2, sort_keys=True) + "\n"
     return "".join(f"{f.code} {c}\n" for f, c in items)
@@ -337,7 +337,7 @@ def test_census_refuses_small_arities_by_leaves(capsys):
         ("identity", ptrees.identity_signature(), 0),
     ):
         with pytest.raises(Nonfinite) as refused:
-            ptrees.core_census(sig, n, by="leaves")
+            opbialg.core_census(sig, n, by="leaves")
         assert cli.main(["census", "--signature", name, "--by", "leaves", "--n", str(n)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {refused.value}\n")

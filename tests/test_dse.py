@@ -23,9 +23,11 @@ from dsetree.dse import (
     spec_from_signature,
 )
 from dsetree.errors import InvalidSpec, Nonfinite, OrderExceeded, SizeLimit
-from dsetree.hopf import HckElem, _Ids, coproduct, parse_elem, product
+from dsetree.hopf import HckElem, coproduct, parse_elem, product
 from dsetree.linear import LinComb, add_up
-from dsetree.ptrees import core_census, list_signature, stable_signature
+from dsetree.opbialg import core_census
+from dsetree.ptrees import list_signature, stable_signature
+from dsetree.table import Table
 from dsetree.trees import parse_forest
 from test_oracles import naive_bplus, naive_product, signatures
 
@@ -186,7 +188,7 @@ def test_solve_work_is_bounded_by_one_memo(monkeypatch):
     # At order 10 the memo holds at most the 55 entries [Y^i]_j, 1 <= i <= j <= 10, and
     # [Y^i]_j takes j - i + 1 products: at most sum_{d <= 10} d(d+1)/2 = 220 in all.
     calls, memos = [], []
-    original_product, original_power = _Ids.product, dse._power_coefficient
+    original_product, original_power = Table.product, dse._power_coefficient
 
     def counted_product(ids, x, y):
         calls.append(None)
@@ -196,7 +198,7 @@ def test_solve_work_is_bounded_by_one_memo(monkeypatch):
         memos.append(memo)
         return original_power(ids, coeffs, m, j, memo)
 
-    monkeypatch.setattr(_Ids, "product", counted_product)
+    monkeypatch.setattr(Table, "product", counted_product)
     monkeypatch.setattr(dse, "_power_coefficient", recorded_power)
     solve(geometric_spec(10))
     assert 0 < len(calls) <= 220

@@ -24,8 +24,8 @@ from dsetree.hopf import (
     product,
     tree_cuts,
 )
-from dsetree import hopf, linear, report, trees
-from dsetree.hopf import _Ids
+from dsetree import hopf, linear, report, table, trees
+from dsetree.table import Table
 from dsetree.opbialg import op_counit
 from dsetree.ptrees import (
     NIL,
@@ -190,7 +190,7 @@ def test_coproduct_builds_one_forest_per_code(monkeypatch):
         built[self.code] += 1
 
     monkeypatch.setattr(Forest, "__init__", counted)
-    ids = _Ids()
+    ids = Table()
     for x in inputs:
         shared_coproduct(ids, x)
     assert built and max(built.values()) == 1, built.most_common(3)
@@ -210,7 +210,7 @@ def test_lower_trees_met_only_through_ids_build_without_recursion(bottom):
     # table builds every lower tree that leaves from its ids alone.
     sig = Signature((Operation("s", 1), Operation("b", 2)))
     ladder = _deep_ladder(sig, parse_ptree(bottom, sig))
-    ids = _Ids()
+    ids = Table()
     delta = shared_coproduct(ids, ladder)
     assert len(delta.terms) == 521 + (bottom != "|")
     # The cut that takes off the fewest nodes, but some.
@@ -227,7 +227,7 @@ def test_one_table_keeps_ids_canonical_across_kinds_and_signatures():
     clash = Signature((Operation("v1", 1), Operation("v2", 2), Operation("v3", 1)))
     planar = [*up_to(partial(enumerate_by_nodes, stable3), 4), *up_to(partial(enumerate_by_nodes, clash), 4)]
     comb = up_to(enumerate_forests, 5)
-    ids = _Ids()
+    ids = Table()
     for x in [y for pair in zip(planar, comb) for y in pair] + planar[len(comb):] + comb[len(planar):]:
         assert shared_coproduct(ids, x) == coproduct(x), x
     assert ids.tree(NIL) != ids.tree(LEAF)
@@ -242,7 +242,7 @@ def test_a_forest_of_3000_runs_folds_without_recursion(monkeypatch):
     # With every tree's cuts cut down to the one under its root, the fold of 3000 distinct
     # trees has one term, and a fold that spent a frame per run would pass the recursion limit.
     sig = Signature(tuple(Operation(f"o{i}", 0) for i in range(3000)))
-    monkeypatch.setattr(_Ids, "tree_cuts", lambda self, n: (self.number((n,)), self.number(())))
+    monkeypatch.setattr(Table, "tree_cuts", lambda self, n: (self.number((n,)), self.number(())))
     forest = Forest(PTree(op, ()) for op in sig.ops)
     assert coproduct(forest) == HckTensor({(forest, EMPTY_FOREST): 1})
 
@@ -255,7 +255,7 @@ def test_forty_equal_leaves_are_dealt_binomial_coefficients():
 def test_cut_and_antipode_tables_hold_no_zero_count():
     # The laws compare these tables with dict ==, which, unlike Counter ==, tells a
     # zero count from a missing key; so no count may be zero.
-    ids = _Ids()
+    ids = Table()
     forests = [ids.forest(f) for f in up_to(enumerate_forests, 6)]
     planar = [ids.number((ids.tree(t),)) for t in up_to(partial(enumerate_by_nodes, stable_signature(3)), 4)]
     for n in forests + planar:
@@ -268,7 +268,7 @@ def test_cut_layer_keeps_no_module_level_table():
     def sizes():
         return {
             (module.__name__, name): len(value)
-            for module in (hopf, linear, report)
+            for module in (hopf, linear, report, table)
             for name, value in vars(module).items()
             if not name.startswith("__") and isinstance(value, (dict, list, set))
         }

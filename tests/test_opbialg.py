@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dsetree import hopf
+from dsetree import table
 from dsetree.cli import main
 from dsetree.errors import ArityMismatch
 from dsetree.hopf import check_coassociativity, coproduct, tree_cuts
@@ -15,6 +15,7 @@ from dsetree.opbialg import (
     check_faa_di_bruno,
     check_op_coassociativity,
     cocycle_counterexample,
+    core,
     green,
     op_counit,
 )
@@ -24,7 +25,6 @@ from dsetree.ptrees import (
     PTree,
     Signature,
     binary_signature,
-    core,
     enumerate_by_nodes,
     identity_signature,
     list_signature,
@@ -170,12 +170,12 @@ def raise_first_count(forest_cuts):
 
 def test_coassociativity_checks_report_id_level_mutants(monkeypatch):
     # Both coassociativity laws run on the cut table's ids without calling
-    # hopf.coproduct, so their mutants live in _Ids.forest_cuts.
+    # hopf.coproduct, so their mutants live in Table.forest_cuts.
     checks = (partial(check_coassociativity, 4), partial(check_op_coassociativity, BIN, 4))
     argv = ["check", "--law", "op-coassoc", "--signature", "binary", "--bound", "3"]
     for mutant in (drop_last_proper_cut, raise_first_count):
         with monkeypatch.context() as patch:
-            patch.setattr(hopf._Ids, "forest_cuts", mutant(hopf._Ids.forest_cuts))
+            patch.setattr(table.Table, "forest_cuts", mutant(table.Table.forest_cuts))
             for check in checks:
                 assert not check().passed, (check.func.__name__, mutant.__name__)
             assert main(argv) == 1, mutant.__name__
@@ -197,7 +197,7 @@ OP_COASSOC_DROP_STDOUT = "FAIL (operadic coassociativity, 9 inputs)\n" + "".join
 def test_op_coassociativity_failure_prints_the_same_bytes(monkeypatch, capsys):
     capsys.readouterr()
     with monkeypatch.context() as patch:
-        patch.setattr(hopf._Ids, "forest_cuts", drop_last_proper_cut(hopf._Ids.forest_cuts))
+        patch.setattr(table.Table, "forest_cuts", drop_last_proper_cut(table.Table.forest_cuts))
         assert main(["check", "--law", "op-coassoc", "--signature", "binary", "--bound", "3"]) == 1
     assert capsys.readouterr().out == OP_COASSOC_DROP_STDOUT
 
@@ -248,7 +248,7 @@ def test_shared_table_changes_no_result_and_shares_each_code():
     ]
     comb_forests = up_to(enumerate_forests, 5)
     comb_trees = [f.trees[0] for f in comb_forests if len(f.trees) == 1]
-    ids = hopf._Ids()
+    ids = table.Table()
     shared = {}
 
     def is_shared(x):

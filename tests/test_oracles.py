@@ -1,4 +1,4 @@
-"""References for the algebra, computed from the definitions on objects; none shares code with ``hopf._Ids``.
+"""References for the algebra, computed from the definitions on objects; none shares code with ``table.Table``.
 
 - The product is the multiset union of forests (``Forest.union``), the product of the tensor
   square is that union factor by factor, and B₊ puts each forest under a new comb root.
@@ -16,10 +16,11 @@ from math import comb
 
 from hypothesis import example, given, settings, strategies as st
 
-from dsetree import hopf
+from dsetree import table
 from dsetree.hopf import coproduct, tree_cuts
 from dsetree.linear import LinComb
-from dsetree.ptrees import NIL, Operation, PTree, Signature, core, parse_ptree
+from dsetree.opbialg import core
+from dsetree.ptrees import NIL, Operation, PTree, Signature, parse_ptree
 from dsetree.trees import EMPTY_FOREST, LEAF, CombTree, Forest
 
 signatures = st.builds(
@@ -165,8 +166,8 @@ def test_a_run_of_equal_trees_is_cut_once_per_multiset(monkeypatch):
     # Twelve leaves have 2^12 ordered choices of a cut each, but 13 multisets of them:
     # k leaves above and 12 - k below, dealt out in C(12, k) ways.
     numbered = []
-    number = hopf._Ids.number
-    monkeypatch.setattr(hopf._Ids, "number", lambda self, *args: numbered.append(args) or number(self, *args))
+    number = table.Table.number
+    monkeypatch.setattr(table.Table, "number", lambda self, *args: numbered.append(args) or number(self, *args))
     delta = coproduct(Forest([LEAF] * 12))
     assert delta == LinComb({(Forest([LEAF] * k), Forest([LEAF] * (12 - k))): comb(12, k) for k in range(13)})
     assert len(numbered) <= 100

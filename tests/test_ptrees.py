@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dsetree import ptrees
 from dsetree.dse import solve, spec_from_signature
-from dsetree.errors import ArityMismatch, MalformedCode, Nonfinite, SizeLimit
+from dsetree.errors import ArityMismatch, InvalidArgument, MalformedCode, Nonfinite, SizeLimit
 from dsetree.hopf import coproduct
 from dsetree.ptrees import (
     GRADED_CACHE_SIZE,
@@ -17,8 +17,6 @@ from dsetree.ptrees import (
     Signature,
     binary_signature,
     by_leaves,
-    core,
-    core_census,
     enumerate_by_leaves,
     enumerate_by_nodes,
     identity_signature,
@@ -28,7 +26,7 @@ from dsetree.ptrees import (
     stable_signature,
 )
 from dsetree.report import up_to
-from dsetree.opbialg import green
+from dsetree.opbialg import core, core_census, green
 from dsetree.trees import (
     EMPTY_FOREST,
     MAX_DEPTH,
@@ -244,6 +242,20 @@ def test_every_size_entry_point_refuses_one_below_its_floor_and_one_above_its_ca
         call(floor - 1)
     with pytest.raises(SizeLimit, match=f"^{what} is capped at {cap}, got {cap + 1}$"):
         call(cap + 1)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (partial(list_signature, 10**2200), SizeLimit),
+        (partial(enumerate_forests, 10**5000), SizeLimit),
+        (partial(enumerate_by_nodes, BIN, -10**5000), InvalidArgument),
+    ],
+)
+def test_sizes_too_long_to_print_are_refused_by_the_bound_they_pass(call, error):
+    # Python prints no int of over 4300 digits, so the refusal names 10**100 instead of the value.
+    with pytest.raises(error, match=r"got (10\*\*100 or more|-10\*\*100 or less)$"):
+        call()
 
 
 def test_kleene_layers():

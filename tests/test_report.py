@@ -3,12 +3,12 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 
-from dsetree import hopf
+from dsetree import hopf, table
 from dsetree.cli import main
 from dsetree.hopf import antipode, check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
-from dsetree.opbialg import check_core_homomorphism, check_faa_di_bruno
-from dsetree.ptrees import PTree, binary_signature, by_leaves, core, enumerate_by_nodes, stable_signature
+from dsetree.opbialg import check_core_homomorphism, check_faa_di_bruno, core
+from dsetree.ptrees import PTree, binary_signature, by_leaves, enumerate_by_nodes, stable_signature
 from dsetree.report import check_coassociative, up_to
 from dsetree.trees import LEAF, CombTree, Forest, enumerate_forests, parse_forest
 
@@ -73,7 +73,7 @@ def swap_factors(delta):
 
 
 def at_ids(mutant):
-    """``mutant`` of the coproduct moved to ``_Ids.forest_cuts``: each forest's (upper, lower)
+    """``mutant`` of the coproduct moved to ``Table.forest_cuts``: each forest's (upper, lower)
     id pairs change as the coproduct of that forest would under ``mutant``."""
 
     def lift(forest_cuts):
@@ -90,7 +90,7 @@ def at_ids(mutant):
 
 
 def double_every_coefficient(product):
-    """``_Ids.product`` with every coefficient doubled."""
+    """``Table.product`` with every coefficient doubled."""
 
     def mutant(self, x, y):
         return {f: 2 * c for f, c in product(self, x, y).items()}
@@ -99,7 +99,7 @@ def double_every_coefficient(product):
 
 
 def drop_the_largest_id(product):
-    """``_Ids.product`` without the term of its largest forest id, where it has two terms or more."""
+    """``Table.product`` without the term of its largest forest id, where it has two terms or more."""
 
     def mutant(self, x, y):
         terms = dict(product(self, x, y))
@@ -113,22 +113,22 @@ def drop_the_largest_id(product):
 # Each law check, the function its mutants replace, and the mutants it must
 # report.  The counit, antipode, cocycle, core-homomorphism and Faa di Bruno laws
 # read the cut table's ids and never call hopf.coproduct, so their coproduct
-# mutants live in _Ids.forest_cuts; the Faa di Bruno check also multiplies the
-# powers of the Green function with _Ids.product.
+# mutants live in Table.forest_cuts; the Faa di Bruno check also multiplies the
+# powers of the Green function with Table.product.
 # A law blind to a mutant is not paired with it: the counit laws ignore the cuts
 # with both factors nonempty, and in a commutative algebra the counit and
 # antipode laws also hold for the coproduct with its factors swapped.
 ALL_AT_IDS = tuple(map(at_ids, (drop_one_cut, off_by_one, swap_factors)))
 PRODUCT_MUTANTS = (double_every_coefficient, drop_the_largest_id)
 LAW_CHECKS = (
-    (partial(check_counit, 4), hopf._Ids, "forest_cuts", (at_ids(off_by_one),)),
-    (partial(check_antipode, 4), hopf._Ids, "forest_cuts", (at_ids(drop_one_cut), at_ids(off_by_one))),
-    (partial(check_cocycle, 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
-    (partial(check_core_homomorphism, binary_signature(), 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
-    (partial(check_faa_di_bruno, binary_signature(), 4), hopf._Ids, "forest_cuts", ALL_AT_IDS),
-    (partial(check_faa_di_bruno, stable_signature(3), 3), hopf._Ids, "forest_cuts", ALL_AT_IDS),
-    (partial(check_faa_di_bruno, binary_signature(), 4), hopf._Ids, "product", PRODUCT_MUTANTS),
-    (partial(check_faa_di_bruno, stable_signature(3), 3), hopf._Ids, "product", PRODUCT_MUTANTS),
+    (partial(check_counit, 4), table.Table, "forest_cuts", (at_ids(off_by_one),)),
+    (partial(check_antipode, 4), table.Table, "forest_cuts", (at_ids(drop_one_cut), at_ids(off_by_one))),
+    (partial(check_cocycle, 4), table.Table, "forest_cuts", ALL_AT_IDS),
+    (partial(check_core_homomorphism, binary_signature(), 4), table.Table, "forest_cuts", ALL_AT_IDS),
+    (partial(check_faa_di_bruno, binary_signature(), 4), table.Table, "forest_cuts", ALL_AT_IDS),
+    (partial(check_faa_di_bruno, stable_signature(3), 3), table.Table, "forest_cuts", ALL_AT_IDS),
+    (partial(check_faa_di_bruno, binary_signature(), 4), table.Table, "product", PRODUCT_MUTANTS),
+    (partial(check_faa_di_bruno, stable_signature(3), 3), table.Table, "product", PRODUCT_MUTANTS),
 )
 
 
@@ -167,13 +167,13 @@ def test_coassociativity_driver_computes_each_coproduct_once():
 
 def test_antipode_check_computes_each_antipode_once(monkeypatch):
     calls = Counter()
-    signed = hopf._Ids.antipode
+    signed = table.Table.antipode
 
     def counted(self, n):
         calls[self.obj(n)] += 1
         return signed(self, n)
 
-    monkeypatch.setattr(hopf._Ids, "antipode", counted)
+    monkeypatch.setattr(table.Table, "antipode", counted)
     assert check_antipode(5).passed
     assert set(calls.values()) == {1}
     assert calls.keys() == {upper for f in up_to(enumerate_forests, 5) for upper, _ in coproduct(f).terms}
@@ -181,7 +181,7 @@ def test_antipode_check_computes_each_antipode_once(monkeypatch):
 
 def test_core_homomorphism_check_takes_each_core_once(monkeypatch):
     fills, tables = Counter(), []
-    init = hopf._Ids.__init__
+    init = table.Table.__init__
 
     class CountedCores(dict):
         def __setitem__(self, n, core):
@@ -194,7 +194,7 @@ def test_core_homomorphism_check_takes_each_core_once(monkeypatch):
         tables.append(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(hopf._Ids, "__init__", counted)
+        patch.setattr(table.Table, "__init__", counted)
         assert check_core_homomorphism(stable_signature(3), 3).passed
     [ids] = tables
     assert set(fills.values()) == {1}
@@ -223,13 +223,13 @@ def test_core_homomorphism_check_builds_no_tree_or_forest(monkeypatch):
 
 def test_core_homomorphism_check_takes_one_hopf_coproduct_per_core(monkeypatch):
     calls = Counter()
-    delta = hopf._Ids.delta
+    delta = table.Table.delta
 
     def counted(self, n):
         calls[self.obj(n)] += 1
         return delta(self, n)
 
-    monkeypatch.setattr(hopf._Ids, "delta", counted)
+    monkeypatch.setattr(table.Table, "delta", counted)
     assert check_core_homomorphism(stable_signature(3), 3).passed
     assert set(calls.values()) == {1}
     assert calls.keys() == {core(t) for t in STABLE3_TREES}
@@ -253,7 +253,7 @@ def drop_a_leaf_under_the_root(core):
 def test_core_homomorphism_check_reports_a_wrong_core(monkeypatch):
     checks = [partial(check_core_homomorphism, sig, 3) for sig in (binary_signature(), stable_signature(3))]
     with monkeypatch.context() as patch:
-        patch.setattr(hopf._Ids, "core", drop_a_leaf_under_the_root(hopf._Ids.core))
+        patch.setattr(table.Table, "core", drop_a_leaf_under_the_root(table.Table.core))
         for check in checks:
             assert not check().passed, check.args[0]
     assert all(check().passed for check in checks)
@@ -273,7 +273,7 @@ CORE_HOM_SWAP_STDOUT = (
 def test_core_homomorphism_failure_prints_the_same_bytes(monkeypatch, capsys):
     capsys.readouterr()
     with monkeypatch.context() as patch:
-        patch.setattr(hopf._Ids, "forest_cuts", at_ids(swap_factors)(hopf._Ids.forest_cuts))
+        patch.setattr(table.Table, "forest_cuts", at_ids(swap_factors)(table.Table.forest_cuts))
         assert main(["check", "--law", "core-hom", "--signature", "binary", "--bound", "3"]) == 1
     assert capsys.readouterr().out == CORE_HOM_SWAP_STDOUT
 
@@ -296,7 +296,7 @@ FAA_DI_BRUNO_DROP_ONE_CUT_STDOUT = "FAIL (Faa di Bruno, 79 inputs)\n" + "\n".joi
 def test_faa_di_bruno_failure_prints_the_same_bytes(monkeypatch, capsys):
     capsys.readouterr()
     with monkeypatch.context() as patch:
-        patch.setattr(hopf._Ids, "forest_cuts", at_ids(drop_one_cut)(hopf._Ids.forest_cuts))
+        patch.setattr(table.Table, "forest_cuts", at_ids(drop_one_cut)(table.Table.forest_cuts))
         assert main(["check", "--law", "faa-di-bruno", "--signature", "stable:3", "--bound", "3"]) == 1
     assert capsys.readouterr().out == FAA_DI_BRUNO_DROP_ONE_CUT_STDOUT
 
@@ -310,7 +310,7 @@ def test_coassociativity_driver_coefficients():
 
 def test_law_checks_report_coproduct_mutants(monkeypatch):
     # The core-homomorphism check meets the mutant only on its Hopf side;
-    # its operadic side reads _Ids.tree_cuts and stays true.
+    # its operadic side reads Table.tree_cuts and stays true.
     for check, owner, name, mutants in LAW_CHECKS:
         assert check().passed, check.func.__name__
         for mutant in mutants:
@@ -342,7 +342,7 @@ def test_counit_and_cocycle_failures_print_the_same_bytes(monkeypatch, capsys):
     ):
         capsys.readouterr()
         with monkeypatch.context() as patch:
-            patch.setattr(hopf._Ids, "forest_cuts", at_ids(mutant)(hopf._Ids.forest_cuts))
+            patch.setattr(table.Table, "forest_cuts", at_ids(mutant)(table.Table.forest_cuts))
             assert main(["check", "--law", law, "--degree", "3"]) == 1
         assert capsys.readouterr().out == stdout, law
 
@@ -375,7 +375,7 @@ def test_antipode_failures_print_the_same_bytes(monkeypatch, capsys):
     for mutant, stdout in ((drop_one_cut, ANTIPODE_DROP_ONE_CUT_STDOUT), (off_by_one, ANTIPODE_OFF_BY_ONE_STDOUT)):
         capsys.readouterr()
         with monkeypatch.context() as patch:
-            patch.setattr(hopf._Ids, "forest_cuts", at_ids(mutant)(hopf._Ids.forest_cuts))
+            patch.setattr(table.Table, "forest_cuts", at_ids(mutant)(table.Table.forest_cuts))
             assert main(["check", "--law", "antipode", "--degree", "3"]) == 1
         assert capsys.readouterr().out == stdout, mutant.__name__
 
@@ -412,7 +412,7 @@ def test_antipode_builds_each_output_forest_once(monkeypatch):
 
 
 def omit_the_sign(antipode):
-    """``_Ids.antipode`` with every count replaced by its absolute value."""
+    """``Table.antipode`` with every count replaced by its absolute value."""
 
     def mutant(self, n):
         return Counter({m: abs(c) for m, c in antipode(self, n).items()})
@@ -425,7 +425,7 @@ def test_antipode_check_reports_the_unsigned_antipode(monkeypatch):
     # would fail the unmutated check.  At degree 0 the only input is the empty
     # forest, whose antipode is 1 anyway.
     with monkeypatch.context() as patch:
-        patch.setattr(hopf._Ids, "antipode", omit_the_sign(hopf._Ids.antipode))
+        patch.setattr(table.Table, "antipode", omit_the_sign(table.Table.antipode))
         for degree in range(1, 5):
             assert not check_antipode(degree).passed, degree
     assert check_antipode(4).passed
@@ -442,7 +442,7 @@ def product_off_by_one_on_degree_one_pairs(product):
 
 
 def graft_adds_a_leaf_under_two_tree_forests(graft):
-    """``_Ids.graft`` with one more leaf under the new root of every 2-tree forest."""
+    """``Table.graft`` with one more leaf under the new root of every 2-tree forest."""
 
     def mutant(self, f):
         members = self.keys[f]
@@ -454,7 +454,7 @@ def graft_adds_a_leaf_under_two_tree_forests(graft):
 def test_law_checks_report_product_and_graft_mutants(monkeypatch):
     for owner, name, mutant, check in (
         (hopf, "product", product_off_by_one_on_degree_one_pairs, partial(check_antipode, 4)),
-        (hopf._Ids, "graft", graft_adds_a_leaf_under_two_tree_forests, partial(check_cocycle, 4)),
+        (table.Table, "graft", graft_adds_a_leaf_under_two_tree_forests, partial(check_cocycle, 4)),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, mutant(getattr(owner, name)))

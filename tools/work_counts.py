@@ -6,11 +6,11 @@ Runs every command of ``perfbench/workloads.py`` in this process against the
 ``dsetree`` under ``PATH`` (this checkout's ``src`` by default), workload by
 workload in a scratch directory, and prints (or writes to FILE) one JSON object
 that maps ``workload/command`` to the command's counts.  A command's counts are
-one entry per ``hopf._Ids`` table it made, in the order they were made:
+one entry per ``table.Table`` it made, in the order they were made:
 
 - ``ids``: the trees and forests numbered
 - ``trees_cut`` and ``cuts``: the trees whose cuts were filled, and their cuts
-- ``edge_sets``: the antipode's edge sets (``_Ids.edge_cuts``)
+- ``edge_sets``: the antipode's edge sets (``Table.edge_cuts``)
 - ``objects``: the ids that hold an object, met or built
 
 and ``graded``, the ``cache_info()`` of ``ptrees._graded`` after the command;
@@ -37,22 +37,23 @@ ROOT = Path(__file__).resolve().parent.parent
 @contextlib.contextmanager
 def recording():
     """Collect every cut table made inside the block; each stays alive until the block ends.
-    Call it after importing ``dsetree.cli``; a ``dsetree`` without ``hopf`` records none."""
-    tables, hopf = [], sys.modules.get("dsetree.hopf")
-    if hopf is None:
+    Call it after importing ``dsetree.cli``.  A ``dsetree`` without the ``table`` module, such as
+    one from before the cut table left ``hopf``, records none, so its ``tables`` lists are empty."""
+    tables, table = [], sys.modules.get("dsetree.table")
+    if table is None:
         yield tables
         return
-    init = hopf._Ids.__init__
+    init = table.Table.__init__
 
     def recorded(self, *args, **kwargs):
         init(self, *args, **kwargs)
         tables.append(self)
 
-    hopf._Ids.__init__ = recorded
+    table.Table.__init__ = recorded
     try:
         yield tables
     finally:
-        hopf._Ids.__init__ = init
+        table.Table.__init__ = init
 
 
 def table_counts(ids) -> dict:
