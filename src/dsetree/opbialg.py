@@ -9,8 +9,10 @@ to rooted forests and its census, Green functions graded by leaf count, and thei
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import cache, partial
 from itertools import chain
+from math import factorial
 from typing import Optional
 
 from .errors import InvalidArgument
@@ -112,32 +114,28 @@ def green(sig: Signature, node_bound: int) -> dict[int, list[PTree]]:
 
 
 def check_faa_di_bruno(sig: Signature, node_bound: int) -> CheckReport:
-    """Compare the coproduct of the Green function with the leaf-graded expansion, restricted
-    (exactly) to tensor terms of total node count up to the bound.  Both sides are sums on one cut
-    table's ids, split by node count, so that only products and pairs within the bound are formed."""
-    ids = Table()
-    total, components = {}, {}  # node count -> {one-tree forest id: 1}, and that per leaf count
-    for leaves, group in green(sig, node_bound).items():
-        for t in group:
-            n, size = ids.forest_of((ids.tree(t),)), t.code.count("(")
-            total.setdefault(size, {})[n] = 1
-            components.setdefault(leaves, {}).setdefault(size, {})[n] = 1
-    lhs = add_up(chain.from_iterable(ids.delta(n).items() for part in total.values() for n in part))
+    """Compare the coproduct of the Green function G with Σₙ Gⁿ ⊗ gₙ, restricted (exactly) to tensor terms of
+    total node count up to the bound, on one cut table's ids.  Every tree of G has coefficient 1, so Gⁿ is written
+    down, not multiplied out: a forest of n trees of G, kᵢ of the i-th, has coefficient n!/∏kᵢ!."""
+    ids, grades = Table(), green(sig, node_bound).items()  # lower: (leaves, nodes, one-tree forest id) per tree of G
+    lower = [(k, t.code.count("("), ids.forest_of((ids.tree(t),))) for k, trees in grades for t in trees]
+    pool = sorted((size, *ids.parts(l)) for _, size, l in lower)  # (node count, tree id) per tree, smallest first
+    lhs = add_up(chain.from_iterable(ids.delta(l).items() for *_, l in lower))
 
-    def within(x: dict, y: dict) -> list:
-        """The parts of ``x`` and ``y`` in pairs whose node counts sum to at most the bound, with that sum."""
-        return [(i + j, x[i], y[j]) for i in x for j in y if i + j <= node_bound]
+    def forests(n: int, budget: int, start: int = 0):
+        """Each forest of n pool trees from index ``start`` on with at most ``budget`` nodes: its member ids, and
+        ∏kᵢ! over its kᵢ copies of the i-th tree.  A tree is taken with all its copies at once, so the depth is
+        the number of distinct members, not n."""
+        if not n:
+            yield (), 1
+            return
+        for i, (size, t) in enumerate(pool[start:bisect(pool, (budget + 1,))], start):
+            for m in range(1, (min(n, budget // size) if size else n) + 1):  # the bare edge has no nodes
+                yield from (((t,) * m + f, factorial(m) * k) for f, k in forests(n - m, budget - m * size, i + 1))
 
-    pairs, power = [], {0: {ids.forest_of(()): 1}}  # power: the Green function's n-th power, split by node count
-    for n in range(max(components, default=0) + 1):
-        parts = within(power, components.get(n, {}))
-        pairs += [((f, g), c * d) for _, x, y in parts for f, c in x.items() for g, d in y.items()]
-        grown = {}
-        for size, x, y in within(power, total):
-            grown.setdefault(size, []).extend(ids.product(x, y).items())
-        power = {size: add_up(terms) for size, terms in grown.items()}
-    rhs, checked = add_up(pairs), sum(map(len, total.values()))
-    if lhs == rhs:
-        return CheckReport("Faa di Bruno", True, checked)
-    bad = tuple((code, "0", str(c)) for code, c in (ids.elem(lhs) - ids.elem(rhs)).rows()[:5])
-    return CheckReport("Faa di Bruno", False, checked, bad)
+    # The terms of Gⁿ with at most ``budget`` nodes, as (forest id, coefficient) pairs.
+    power = cache(lambda n, budget: [(ids.forest_of(f), factorial(n) // k) for f, k in forests(n, budget)])
+
+    rhs = {(f, l): c for k, size, l in lower for f, c in power(k, node_bound - size)}
+    bad = () if lhs == rhs else tuple((code, "0", str(c)) for code, c in (ids.elem(lhs) - ids.elem(rhs)).rows()[:5])
+    return CheckReport("Faa di Bruno", not bad, len(lower), bad)

@@ -250,6 +250,39 @@ def test_recurrence_mutants_are_killed_by_independent_checks(monkeypatch):
             assert all(r.is_zero() for r in residual(spec, solve(spec))), label
 
 
+def double_every_coefficient(product):
+    """``Table.product`` with every coefficient doubled."""
+
+    def mutant(self, x, y):
+        return {f: 2 * c for f, c in product(self, x, y).items()}
+
+    return mutant
+
+
+def drop_the_largest_id(product):
+    """``Table.product`` without the term of its largest forest id, where it has two terms or more."""
+
+    def mutant(self, x, y):
+        terms = dict(product(self, x, y))
+        if len(terms) > 1:
+            del terms[max(terms)]
+        return terms
+
+    return mutant
+
+
+# No law check multiplies on the cut table; solve does, for the powers of Y.
+PRODUCT_MUTANTS = (double_every_coefficient, drop_the_largest_id)
+
+
+def test_product_mutants_are_killed_by_independent_checks(monkeypatch):
+    assert all(independent_checks().values())
+    for mutant in PRODUCT_MUTANTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(Table, "product", mutant(Table.product))
+            assert not all(independent_checks().values()), mutant.__name__
+
+
 def test_huge_x_power_takes_logarithmic_work():
     spec = DSESpec((DSETerm(1, Fraction(1), 10**9),), 3)
     start = time.perf_counter()

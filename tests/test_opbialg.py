@@ -236,6 +236,9 @@ def test_faa_di_bruno_small_bounds():
     assert check_faa_di_bruno(identity_signature(), 3).passed
     assert check_faa_di_bruno(BIN, 0).passed
     assert check_faa_di_bruno(stable_signature(3), 3).passed
+    # The 1500 leaves of w(|, ..., |) ask for G^1500 within no nodes: 1500 bare edges, which
+    # must not take a stack frame each.
+    assert check_faa_di_bruno(Signature((Operation("w", 1500),)), 1).passed
 
 
 def test_shared_table_changes_no_result_and_shares_each_code():

@@ -7,8 +7,8 @@ from dsetree import hopf, table
 from dsetree.cli import main
 from dsetree.hopf import antipode, check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
-from dsetree.opbialg import check_core_homomorphism, check_faa_di_bruno, core
-from dsetree.ptrees import PTree, binary_signature, by_leaves, enumerate_by_nodes, stable_signature
+from dsetree.opbialg import check_core_homomorphism, check_faa_di_bruno, core, green
+from dsetree.ptrees import PTree, binary_signature, by_leaves, enumerate_by_nodes, list_signature, stable_signature
 from dsetree.report import check_coassociative, up_to
 from dsetree.trees import LEAF, CombTree, Forest, enumerate_forests, parse_forest
 
@@ -89,37 +89,16 @@ def at_ids(mutant):
     return lift
 
 
-def double_every_coefficient(product):
-    """``Table.product`` with every coefficient doubled."""
-
-    def mutant(self, x, y):
-        return {f: 2 * c for f, c in product(self, x, y).items()}
-
-    return mutant
-
-
-def drop_the_largest_id(product):
-    """``Table.product`` without the term of its largest forest id, where it has two terms or more."""
-
-    def mutant(self, x, y):
-        terms = dict(product(self, x, y))
-        if len(terms) > 1:
-            del terms[max(terms)]
-        return terms
-
-    return mutant
-
-
 # Each law check, the function its mutants replace, and the mutants it must
 # report.  The counit, antipode, cocycle, core-homomorphism and Faa di Bruno laws
 # read the cut table's ids and never call hopf.coproduct, so their coproduct
-# mutants live in Table.forest_cuts; the Faa di Bruno check also multiplies the
-# powers of the Green function with Table.product.
+# mutants live in Table.forest_cuts.  The Faa di Bruno check writes the powers of
+# the Green function down in closed form and never calls Table.product, so the
+# product mutants are killed in test_dse.py, by checks that solve equations.
 # A law blind to a mutant is not paired with it: the counit laws ignore the cuts
 # with both factors nonempty, and in a commutative algebra the counit and
 # antipode laws also hold for the coproduct with its factors swapped.
 ALL_AT_IDS = tuple(map(at_ids, (drop_one_cut, off_by_one, swap_factors)))
-PRODUCT_MUTANTS = (double_every_coefficient, drop_the_largest_id)
 LAW_CHECKS = (
     (partial(check_counit, 4), table.Table, "forest_cuts", (at_ids(off_by_one),)),
     (partial(check_antipode, 4), table.Table, "forest_cuts", (at_ids(drop_one_cut), at_ids(off_by_one))),
@@ -127,8 +106,6 @@ LAW_CHECKS = (
     (partial(check_core_homomorphism, binary_signature(), 4), table.Table, "forest_cuts", ALL_AT_IDS),
     (partial(check_faa_di_bruno, binary_signature(), 4), table.Table, "forest_cuts", ALL_AT_IDS),
     (partial(check_faa_di_bruno, stable_signature(3), 3), table.Table, "forest_cuts", ALL_AT_IDS),
-    (partial(check_faa_di_bruno, binary_signature(), 4), table.Table, "product", PRODUCT_MUTANTS),
-    (partial(check_faa_di_bruno, stable_signature(3), 3), table.Table, "product", PRODUCT_MUTANTS),
 )
 
 
@@ -299,6 +276,26 @@ def test_faa_di_bruno_failure_prints_the_same_bytes(monkeypatch, capsys):
         patch.setattr(table.Table, "forest_cuts", at_ids(drop_one_cut)(table.Table.forest_cuts))
         assert main(["check", "--law", "faa-di-bruno", "--signature", "stable:3", "--bound", "3"]) == 1
     assert capsys.readouterr().out == FAA_DI_BRUNO_DROP_ONE_CUT_STDOUT
+
+
+def test_faa_di_bruno_check_numbers_no_forest_beyond_its_left_side(monkeypatch):
+    # The powers of the Green function are written down, not multiplied out, so a
+    # passing check holds the ids of G's trees and of their cuts, and no other.
+    tables, init = [], table.Table.__init__
+
+    def recorded(self):
+        init(self)
+        tables.append(self)
+
+    for sig, bound in ((binary_signature(), 5), (stable_signature(3), 4), (list_signature(2), 4)):
+        tables.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(table.Table, "__init__", recorded)
+            assert check_faa_di_bruno(sig, bound).passed
+        [ids], fresh = tables, table.Table()
+        for t in chain.from_iterable(green(sig, bound).values()):
+            fresh.delta(fresh.forest_of((fresh.tree(t),)))
+        assert len(ids.keys) == len(fresh.keys), sig
 
 
 def test_coassociativity_driver_coefficients():
