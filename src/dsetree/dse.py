@@ -17,8 +17,7 @@ from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgument, InvalidSpec, Nonfinite, OrderExceeded, SizeLimit
-from .hopf import HckElem
-from .linear import MAX_COEFF_EXPONENT, add_up, parse_scalar
+from .linear import MAX_COEFF_EXPONENT, LinComb, add_up, parse_scalar
 from .ptrees import SMALL_ARITIES_BY_LEAVES, Signature
 from .table import Table
 from .trees import _Frozen
@@ -61,7 +60,7 @@ class Series(_Frozen):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[HckElem, ...]) -> None:
+    def __init__(self, coeffs: tuple[LinComb, ...]) -> None:
         super().__init__(coeffs)
 
     @property
@@ -72,13 +71,13 @@ class Series(_Frozen):
         return "\n".join(f"c_{k} = {c.text()}" for k, c in enumerate(self.coeffs))
 
 
-def series_coefficient(s: Series, k: int) -> HckElem:
+def series_coefficient(s: Series, k: int) -> LinComb:
     if not 0 <= k <= s.order:
         raise OrderExceeded(f"coefficient {k} beyond truncation order {s.order}")
     return s.coeffs[k]
 
 
-def series_power(s: Series, m: int, j: int) -> HckElem:
+def series_power(s: Series, m: int, j: int) -> LinComb:
     """Degree-``j`` coefficient of the ``m``-th power of ``s``."""
     series_coefficient(s, j)  # OrderExceeded past the truncation order
     ids = Table()
@@ -147,7 +146,7 @@ def solve(spec: DSESpec) -> Series:
     return Series(tuple(ids.elem(e, d**k) for k, e in enumerate(coeffs)))
 
 
-def residual(spec: DSESpec, s: Series) -> list[HckElem]:
+def residual(spec: DSESpec, s: Series) -> list[LinComb]:
     """Per-order difference between ``s`` and the equation's right-hand side, on the coefficients as given."""
     ids = Table()
     coeffs, memo = list(map(ids.numbered, s.coeffs)), {}

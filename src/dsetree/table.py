@@ -75,13 +75,16 @@ class Table:
             # Below the cut under the root: nothing of a comb tree, the root edge of a decorated one.
             found = [self.number((i,)), self.number((self.tree(NIL),) if head[0] else ())]
             if head != ("|",):
-                # Per child: its cut under the root (all of it above) or another (its root part below).
+                # Per child: its cut under the root (all of it above) or another (its root part below).  A decorated
+                # child keeps one lower tree, so the lower key is the head and those ids, and a wide node's joins are
+                # linear; a comb node of arity a has 2^a cuts or more, so its short joins take the faster sum.
                 flats = [self.cuts[c] for c in self.parts(i)]
-                uppers, lowers = ([[self.keys[f] for f in flat[side::2]] for flat in flats] for side in (0, 1))
+                uppers = [[self.keys[u] for u in flat[::2]] for flat in flats]
+                lowers = [[self.keys[l][0] if head[0] else self.keys[l] for l in flat[1::2]] for flat in flats]
                 for above, below in zip(iproduct(*uppers), iproduct(*lowers)):
-                    kept = sum(below, ())
-                    lower = self.number(head + (kept if head[0] else tuple(sorted(kept))), node)
-                    found += (self.number(tuple(sorted(sum(above, ())))), self.number((lower,)))
+                    up = chain(*above) if head[0] else sum(above, ())
+                    lower = head + below if head[0] else ("", *sorted(sum(below, ())))
+                    found += (self.number(tuple(sorted(up))), self.number((self.number(lower, node),)))
             self.cuts[i] = tuple(found)
         return self.cuts[n]
 

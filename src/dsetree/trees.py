@@ -218,40 +218,22 @@ def _check_size(what: str, value: int, cap: int, low: int = 0) -> None:
 
 
 @lru_cache(maxsize=None)
-def _trees_exact(n: int) -> tuple[CombTree, ...]:
-    if n == 1:
-        return (LEAF,)
-    return tuple(graft(f) for f in _forests_exact(n - 1))
-
-
-@lru_cache(maxsize=None)
 def _forests_exact(d: int) -> tuple[Forest, ...]:
-    # Multisets are built by picking members with nondecreasing pool index.
-    pool: list[CombTree] = []
+    """The forests of exactly ``d`` nodes by Pólya's multiset construction, ``table[k]`` holding the member tuples
+    of degree k: the trees of each size graft the forests one node smaller, complete by then, and each tree joins
+    every degree from its own size up, smallest first, so it may repeat and each multiset is made once."""
+    table = [[()]] + [[] for _ in range(d)]
     for size in range(1, d + 1):
-        pool.extend(_trees_exact(size))
-    # Sizes are read off the codes: once per pool member, not once per visit.
-    sizes = [t.node_count for t in pool]
-    out: list[Forest] = []
-
-    def extend(remaining: int, start: int, chosen: list[CombTree]) -> None:
-        if remaining == 0:
-            out.append(Forest(chosen))
-            return
-        for i in range(start, len(pool)):
-            if sizes[i] <= remaining:
-                chosen.append(pool[i])
-                extend(remaining - sizes[i], i, chosen)
-                chosen.pop()
-
-    extend(d, 0, [])
-    return tuple(out)
+        for tree in [CombTree(f) for f in table[size - 1]]:
+            for k in range(size, d + 1):
+                table[k] += [f + (tree,) for f in table[k - size]]
+    return tuple(map(Forest, table[d]))
 
 
 def enumerate_comb_trees(n: int) -> set[CombTree]:
     """All iso-classes of rooted trees with exactly ``n`` nodes."""
     _check_size("node count", n, MAX_ENUM_NODES, low=1)
-    return set(_trees_exact(n))
+    return set(map(graft, _forests_exact(n - 1)))
 
 
 def enumerate_forests(degree: int) -> set[Forest]:

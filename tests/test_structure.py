@@ -1,8 +1,9 @@
 """The import structure of the package, read from its source with ``ast``.
 
 No function imports, so every dependency between modules shows at the top of a file; the
-module-level imports among ``dsetree`` modules form no cycle; and ``ptrees`` (signatures,
-trees and their enumeration) reaches neither the Hopf algebra nor the cut table.
+module-level imports among ``dsetree`` modules form no cycle; ``ptrees`` (signatures,
+trees and their enumeration) reaches neither the Hopf algebra nor the cut table; and ``dse``
+(the solver) imports neither algebra, only the cut table and the linear combinations it returns.
 """
 
 import ast
@@ -64,3 +65,9 @@ def test_ptrees_imports_neither_hopf_nor_table():
     reached = set().union(*(names for _, _, names in imports(MODULES["ptrees"])))
     assert {"errors", "trees"} <= reached
     assert not reached & {"hopf", "table"}
+
+
+def test_dse_imports_neither_hopf_nor_opbialg():
+    reached = set().union(*(names for _, _, names in imports(MODULES["dse"])))
+    assert {"linear", "table"} <= reached
+    assert not reached & {"hopf", "opbialg"}

@@ -10,9 +10,11 @@ from dsetree.trees import (
     EMPTY_FOREST,
     LEAF,
     MAX_DEPTH,
+    MAX_ENUM_NODES,
     CombTree,
     Forest,
     _children_first,
+    _forests_exact,
     aut_order,
     canon_code,
     enumerate_comb_trees,
@@ -161,11 +163,17 @@ def test_children_first_expands_each_distinct_node_once():
 
 
 def test_enumeration_counts_match_both_oracles():
-    counts = [len(enumerate_comb_trees(n)) for n in range(1, 9)]
+    counts = [len(enumerate_comb_trees(n)) for n in range(1, MAX_ENUM_NODES + 1)]
     assert counts[:6] == [1, 1, 2, 4, 9, 20]
-    assert counts == rooted_tree_counts(8)
+    assert counts == rooted_tree_counts(MAX_ENUM_NODES)
     for n in range(1, 8):
         assert len(enumerate_comb_trees(n)) == len(brute_force_iso_classes(n))
+    # Grafting is a bijection from the forests of degree d onto the trees of d + 1 nodes,
+    # and the multiset table makes each forest once.
+    grafted = rooted_tree_counts(MAX_ENUM_NODES + 1)
+    for d in range(MAX_ENUM_NODES + 1):
+        assert len(enumerate_forests(d)) == grafted[d]
+        assert len(_forests_exact(d)) == len(set(_forests_exact(d)))
 
 
 def test_enumeration_limits():
