@@ -144,15 +144,17 @@ def check_counit(degree_bound: int) -> CheckReport:
 
 
 def check_antipode(degree_bound: int) -> CheckReport:
-    """Verify m(S x Id)coproduct = unit*counit on all small forests."""
+    """Verify m(S x Id)coproduct = unit*counit on all small forests: per upper forest a of a cut,
+    one :func:`product` of S(a) with the sum of the lower forests below a, each times its count."""
     ids = Table()
     antipode_of = cache(lambda n: ids.elem(ids.antipode(n)))  # forest id -> S
 
     def law(f: Forest):
+        lowers = {}  # upper forest id -> {lower forest id: count}
+        for (a, b), c in ids.delta(ids.forest(f)).items():
+            lowers.setdefault(a, {})[b] = c
         acc = HckElem.sum(
-            (key, c * d)
-            for (a, b), c in ids.delta(ids.forest(f)).items()
-            for key, d in product(antipode_of(a), ids.elem({b: 1})).terms.items()
+            term for a, bs in lowers.items() for term in product(antipode_of(a), ids.elem(bs)).terms.items()
         )
         expected = HckElem.one() if f == EMPTY_FOREST else HckElem.zero()
         return None if acc == expected else (expected.text(), acc.text())

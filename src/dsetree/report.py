@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cache
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .linear import add_up
 from .trees import _Frozen
 
 
@@ -66,25 +66,37 @@ def check_coassociative(
 ) -> CheckReport:
     """Check that ``(delta x Id)delta = (Id x delta)delta`` on every input.
 
-    ``number`` gives an input's int id, and ``delta`` maps the id of a forest
-    to the coefficients of its ``(upper id, lower id)`` pairs, so the double
-    sum adds up terms keyed by triples of ints.  ``delta`` is called once per
-    distinct id over the whole check.
+    ``number`` gives an input's int id, and ``delta`` maps the id of a forest to the coefficients of its
+    ``(upper id, lower id)`` pairs; it is called once per distinct id over the whole check.  Both sides sum
+    blocks keyed by a triple's last id.  The left block for lower forest b is the sum of c * delta(a) over the
+    cuts (a, b), or the memoized delta(a) itself, never written, if that cut is the only one and its c is 1.
     """
     delta = cache(delta)
 
     def law(x: Any) -> Optional[tuple[str, str]]:
-        left, right = {}, {}  # (a1, a2, b) and (a, b1, b2) id triples -> coefficient
+        # b -> (a1, a2) and b2 -> (a, b1) -> coefficient, and the b whose left block is a copy of its own
+        left, right, owned = {}, defaultdict(dict), set()
         for (a, b), c in delta(number(x)).items():
-            for (a1, a2), c2 in delta(a).items():
-                key = (a1, a2, b)
-                left[key] = left.get(key, 0) + c * c2
+            block = left.get(b)
+            if block is None and c == 1:
+                left[b] = delta(a)  # the memo itself, until another cut has b below
+            else:
+                if b not in owned:
+                    owned.add(b)
+                    block = left[b] = dict(block or ())
+                for pair, c2 in delta(a).items():
+                    block[pair] = block.get(pair, 0) + c * c2
             for (b1, b2), c2 in delta(b).items():
-                key = (a, b1, b2)
-                right[key] = right.get(key, 0) + c * c2
+                block, key = right[b2], (a, b1)
+                block[key] = block.get(key, 0) + c * c2
         # Terms may cancel to zero: compare the nonzero parts only when the raw sums differ.
-        if left != right and add_up(left.items()) != add_up(right.items()):
+        if left != right and _nonzero_triples(left) != _nonzero_triples(right):
             return ("(Id x D)D", "(D x Id)D")
         return None
 
     return check_each(name, inputs, law)
+
+
+def _nonzero_triples(blocks: dict) -> dict:
+    """The terms of ``{last id: {(first id, second id): coefficient}}`` with a nonzero coefficient, keyed by triples."""
+    return {(*pair, last): c for last, block in blocks.items() for pair, c in block.items() if c}

@@ -221,10 +221,12 @@ def _check_size(what: str, value: int, cap: int, low: int = 0) -> None:
 def _forests_exact(d: int) -> tuple[Forest, ...]:
     """The forests of exactly ``d`` nodes by Pólya's multiset construction, ``table[k]`` holding the member tuples
     of degree k: the trees of each size graft the forests one node smaller, complete by then, and each tree joins
-    every degree from its own size up, smallest first, so it may repeat and each multiset is made once."""
+    every degree from its own size up, smallest first, so it may repeat and each multiset is made once.  Only the
+    trees of d nodes are grafted here; smaller ones are the one-tree forests of their own degree, shared by all."""
     table = [[()]] + [[] for _ in range(d)]
     for size in range(1, d + 1):
-        for tree in [CombTree(f) for f in table[size - 1]]:
+        smaller = size < d and [f.trees[0] for f in _forests_exact(size) if len(f.trees) == 1]
+        for tree in smaller or [CombTree(f) if f else LEAF for f in table[d - 1]]:
             for k in range(size, d + 1):
                 table[k] += [f + (tree,) for f in table[k - size]]
     return tuple(map(Forest, table[d]))

@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import chain
+from types import MappingProxyType, SimpleNamespace
 
 from dsetree import hopf, table
 from dsetree.cli import main
@@ -303,6 +304,32 @@ def test_coassociativity_driver_coefficients():
         assert not check_coassociative("off by one", inputs, *numbered(off_by_one(coproduct))).passed
         third = check_coassociative("scaled", inputs, *numbered(lambda x: coproduct(x).scale(Fraction(1, 3))))
         assert third.passed
+
+
+def read_only(numbered_pair):
+    """``numbered_pair`` with each delta handed out as a read-only mapping, so a write into a memo raises."""
+    number, delta = numbered_pair
+    return number, lambda n: MappingProxyType(delta(n))
+
+
+def test_coassociativity_driver_never_writes_a_delta():
+    # FORESTS repeat lower forests and have counts above 1; the scaled coproduct copies every block.
+    for inputs in (FORESTS, STABLE3_TREES):
+        assert check_coassociative("read-only", inputs, *read_only(numbered(coproduct))).passed
+        third = read_only(numbered(lambda x: coproduct(x).scale(Fraction(1, 3))))
+        assert check_coassociative("read-only scaled", inputs, *third).passed
+        assert not check_coassociative("read-only off", inputs, *read_only(numbered(off_by_one(coproduct)))).passed
+
+
+def test_coassociativity_driver_compares_nonzero_parts():
+    # On x = 0 with delta(0) = {(1, 1): 1}, the left side is delta(1) keyed (a1, a2, 1) and the
+    # right side delta(1) keyed (1, b1, b2): they agree on (1, 1, 1) and differ on the term (2, 1).
+    x = SimpleNamespace(code="x")
+    for c, passed in ((0, True), (1, False), (Fraction(1, 2), False)):
+        deltas = {0: {(1, 1): 1}, 1: {(1, 1): 1, (2, 1): c}}
+        report = check_coassociative("hand-made", [x], lambda _: 0, deltas.__getitem__)
+        assert report.passed is passed, c
+        assert report.counterexamples == (() if passed else (("x", "(Id x D)D", "(D x Id)D"),))
 
 
 def test_law_checks_report_coproduct_mutants(monkeypatch):

@@ -193,6 +193,19 @@ def test_forest_enumeration():
     }
 
 
+def test_forests_of_every_degree_share_one_object_per_tree():
+    objects: dict[str, set[int]] = {}
+    for d in range(9):
+        stack = [tree for f in enumerate_forests(d) for tree in f.trees]
+        while stack:
+            node = stack.pop()
+            objects.setdefault(node.code, set()).add(id(node))
+            stack += node.children
+    assert len(objects) == sum(rooted_tree_counts(8))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert objects[LEAF.code] == {id(LEAF)}
+
+
 @given(comb_trees)
 def test_code_roundtrip(t):
     assert parse_code(canon_code(t)) == t
