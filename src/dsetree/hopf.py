@@ -36,12 +36,13 @@ def tree_cuts(t) -> tuple[tuple[Forest, Forest], ...]:
     ``t`` is a :class:`CombTree` or a decorated tree.  Below the cut under the root
     lies nothing of a comb tree and the bare root edge of a decorated one; below any
     other cut lies one tree.  The call numbers trees and forests in a cut table of its
-    own (:class:`Table`), fills each tree's cuts children first with no recursion, and
-    builds a forest, with any tree it holds, once and only when it leaves in a result.
+    own (:class:`Table`), which keeps each distinct pair once with its count, filled
+    children first with no recursion; equal cuts come out next to each other.  A forest,
+    with any tree it holds, is built once and only when it leaves in a result.
     """
     ids = Table()
-    flat = ids.tree_cuts(ids.tree(t))
-    return tuple(zip(map(ids.obj, flat[::2]), map(ids.obj, flat[1::2])))
+    cuts = ids.tree_cuts(ids.tree(t))
+    return tuple((ids.obj(u), ids.obj(l)) for (u, l), c in cuts.items() for _ in range(c))
 
 
 def coproduct(x) -> HckTensor:

@@ -19,7 +19,7 @@ from .errors import InvalidArgument
 from .linear import LinComb, add_up
 from .ptrees import Operation, PTree, Signature, by_leaves, enumerate_by_leaves, enumerate_by_nodes
 from .report import CheckReport, check_coassociative, check_each, up_to
-from .table import Table, count
+from .table import Table
 from .trees import Forest, _Frozen
 
 
@@ -58,11 +58,11 @@ def cocycle_counterexample(sig: Signature, node_bound: int = 2) -> Optional[Cocy
     ids = Table()
     for op in sig.ops:
         for built in (t for n in range(1, node_bound + 2) for t in enumerate_by_nodes(sig, n) if t.op == op):
-            flat = ids.tree_cuts(ids.tree(built))  # upper and lower in turn, the cut under the root first
-            lhs = count(flat)
+            lhs = ids.tree_cuts(ids.tree(built))  # the cut under the root first
             # The cocycle identity puts the empty forest, not the bare root
             # edge, below the cut under the root.
-            rhs = count(flat[2:] + (flat[0], ids.forest_of(())))
+            (top, stump), rhs = next(iter(lhs)), dict(lhs)
+            rhs[top, ids.forest_of(())] = rhs.pop((top, stump))
             if lhs != rhs:
                 return CocycleWitness(op, built.children, ids.elem(lhs), ids.elem(rhs))
     return None
@@ -98,9 +98,11 @@ def check_core_homomorphism(sig: Signature, node_bound: int) -> CheckReport:
     hopf_side = cache(ids.delta)
 
     def law(t: PTree):
-        flat = ids.tree_cuts(ids.tree(t))  # upper and lower in turn; first the forest of t over the root edge
-        lhs = count([*map(core_of, flat)])
-        rhs = hopf_side(core_of(flat[0]))
+        cuts, lhs = ids.tree_cuts(ids.tree(t)), {}  # first the forest of t over the root edge
+        for (upper, lower), c in cuts.items():
+            pair = core_of(upper), core_of(lower)
+            lhs[pair] = lhs.get(pair, 0) + c
+        rhs = hopf_side(core_of(next(iter(cuts))[0]))
         return None if lhs == rhs else (ids.elem(rhs).text(), ids.elem(lhs).text())
 
     trees = up_to(partial(enumerate_by_nodes, sig), node_bound)

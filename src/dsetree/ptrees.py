@@ -9,9 +9,10 @@ decorations and outer edges, lives in :mod:`dsetree.opbialg`.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import lru_cache, partial
 from itertools import chain, combinations, product as iproduct, repeat
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ArityMismatch, InvalidArgument, MalformedCode, Nonfinite, SizeLimit
@@ -22,6 +23,7 @@ MAX_LEAVES = 10
 MAX_HEIGHT = 9
 MAX_LAYER_SIZE = 200_000
 MAX_SIGNATURE_SIZE = 30_000  # operations plus the sum of their arities: list:243 at most
+MAX_TREES = 2_000_000  # trees of one node count that an enumeration builds: stable:4 has 1,209,492 of 6 nodes
 GRADED_CACHE_SIZE = 64  # (signature, grading, size, builder) entries: every size of a few signatures
 SMALL_ARITIES_BY_LEAVES = "signature has nullary or unary operations; pass a node bound"
 _TOKENS = r"[^(),|]*\(|[)|]"  # a node's name and "(", a ")" or a bare edge; compiled on first use
@@ -185,9 +187,30 @@ def _graded(sig: Signature, by: str, k: int, build: Callable) -> tuple:
     return tuple(sorted(out))
 
 
+def tree_counts(sig: Signature, n: int) -> list[int]:
+    """The number of trees over ``sig`` with 0..n nodes, from T = 1 + x·Σ_op T^arity, in ints.  With T = 1 + Y,
+    [T^a]_j = Σ_{i <= min(a, j)} C(a, i) [Y^i]_j, as in ``dse._power_coefficient``: an arity costs at most j terms."""
+    arities = Counter(op.arity for op in sig.ops)
+    t, y = [1], [[1]]  # y[j][i] = [Y^i]_j; Y starts at degree 1, so [Y^i]_j needs t_1..t_(j-i+1)
+    for j in range(n):
+        if j:
+            y.append([0, *(sum(t[l] * y[j - l][i - 1] for l in range(1, j - i + 2)) for i in range(1, j + 1))])
+        t.append(sum(m * comb(a, i) * y[j][i] for a, m in arities.items() for i in range(min(a, j) + 1)))
+    return t
+
+
+def _check_tree_count(sig: Signature, sizes: range) -> None:
+    """Refuse, before any tree is built, to enumerate node counts ``sizes`` when one holds over ``MAX_TREES`` trees."""
+    counts = tree_counts(sig, sizes[-1])
+    for n in sizes:
+        if counts[n] > MAX_TREES:
+            raise SizeLimit(f"{counts[n]} trees have {n} nodes, over the enumeration cap of {MAX_TREES}")
+
+
 def enumerate_by_nodes(sig: Signature, n: int, build: Callable = _nodes) -> list:
     """All trees over ``sig`` with exactly ``n`` nodes, in code order, made by ``build``."""
     _check_size("node count", n, MAX_ENUM_NODES)
+    _check_tree_count(sig, range(n, n + 1))
     return list(_graded(sig, "nodes", n, build))
 
 
@@ -216,6 +239,7 @@ def by_leaves(sig: Signature, node_bound: int, build: Callable = _nodes) -> dict
     """Every tree over ``sig`` with at most ``node_bound`` nodes, made by ``build`` and
     grouped by leaf count: the counts ascending, each group in code order."""
     _check_size("node bound", node_bound, MAX_ENUM_NODES)
+    _check_tree_count(sig, range(node_bound + 1))
     groups = defaultdict(list)
     for t in up_to(partial(enumerate_by_nodes, sig, build=build), node_bound):
         groups[getattr(t, "code", t).count("|")].append(t)

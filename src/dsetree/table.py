@@ -1,15 +1,17 @@
 """The cut table: int ids for the trees and forests of one call, and the cuts, products and cores read off them.
 
-Each call, law check or solve fills one :class:`Table` of its own; no cache outlives it.  Δ is multiplicative:
-a forest is cut run by run of equal trees (m copies deal out a multiset of cuts in m!/∏kᵢ! ways), folded from
-the last run back, while a tree's cuts stay the plain product over its children, so the cocycle law compares
-two sums.  Counts of cuts and antipode terms are plain dicts that never hold 0, so laws compare them with ``==``.
+Each call, law check or solve fills one :class:`Table` of its own; no cache outlives it.  A tree's cuts and a comb
+tree's edge sets are kept once per tree, as dicts from each distinct pair or edge set to its count, and handed out
+uncopied, so no reader writes into them.  Δ is multiplicative: a forest is cut run by run of equal trees (m copies
+deal out a multiset of cut pairs in m!/∏kᵢ! · ∏cᵢ^kᵢ ways), folded from the last run back, while a tree's cuts stay
+the ordered product over its children, so the cocycle law compares two sums.  Counts of cuts and antipode terms are
+plain dicts that never hold 0, so laws compare them with ``==``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, combinations_with_replacement, groupby, product as iproduct, repeat
+from itertools import accumulate, chain, combinations_with_replacement, groupby, product as iproduct
 from math import prod
 
 from .linear import LinComb, add_up
@@ -68,24 +70,31 @@ class Table:
             self.objs[i] = Forest(kids) if p is None else CombTree(kids) if type(p) is CombTree else PTree(p.op, kids)
         return self.objs[n]
 
-    def tree_cuts(self, n: int) -> tuple[int, ...]:
-        """The cuts of tree ``n``, upper and lower forest id in turn, filled children first."""
+    def tree_cuts(self, n: int) -> dict:
+        """How often each (upper, lower) forest id pair is a cut of tree ``n``, the cut under the root first,
+        filled children first: per child's pair, in order, weighed by the product of the children's counts."""
         for i in _children_first(n, self.cuts.__getitem__, self.parts):
-            node, head = self.protos[i], self.keys[i][:1]
+            node, head, number = self.protos[i], self.keys[i][:1], self.number
             # Below the cut under the root: nothing of a comb tree, the root edge of a decorated one.
-            found = [self.number((i,)), self.number((self.tree(NIL),) if head[0] else ())]
+            found = {(number((i,)), number((self.tree(NIL),) if head[0] else ())): 1}
             if head != ("|",):
                 # Per child: its cut under the root (all of it above) or another (its root part below).  A decorated
-                # child keeps one lower tree, so the lower key is the head and those ids, and a wide node's joins are
-                # linear; a comb node of arity a has 2^a cuts or more, so its short joins take the faster sum.
-                flats = [self.cuts[c] for c in self.parts(i)]
-                uppers = [[self.keys[u] for u in flat[::2]] for flat in flats]
-                lowers = [[self.keys[l][0] if head[0] else self.keys[l] for l in flat[1::2]] for flat in flats]
-                for above, below in zip(iproduct(*uppers), iproduct(*lowers)):
-                    up = chain(*above) if head[0] else sum(above, ())
-                    lower = head + below if head[0] else ("", *sorted(sum(below, ())))
-                    found += (self.number(tuple(sorted(up))), self.number((self.number(lower, node),)))
-            self.cuts[i] = tuple(found)
+                # child keeps one lower tree, so the lower key is the head and those ids, each pair is met once and
+                # a wide node's joins are linear; a comb node of arity a has 2^a cuts or more, so its short joins
+                # take the faster sum, and equal pairs merge.
+                kids = [self.cuts[c] for c in self.parts(i)]
+                uppers = [[self.keys[u] for u, _ in kid] for kid in kids]
+                lowers = [[self.keys[l][0] if head[0] else self.keys[l] for _, l in kid] for kid in kids]
+                if head[0]:
+                    for above, below in zip(iproduct(*uppers), iproduct(*lowers)):
+                        found[number(tuple(sorted(chain(*above)))), number((number(head + below, node),))] = 1
+                else:
+                    counts = iproduct(*map(dict.values, kids))
+                    for above, below, ways in zip(iproduct(*uppers), iproduct(*lowers), counts):
+                        up = number(tuple(sorted(sum(above, ()))))
+                        pair = up, number((number(("", *sorted(sum(below, ()))), node),))
+                        found[pair] = found.get(pair, 0) + prod(ways)
+            self.cuts[i] = found
         return self.cuts[n]
 
     def forest(self, f: Forest) -> int:
@@ -113,12 +122,12 @@ class Table:
         """How often each (upper, lower) forest id pair is a cut of the forest of sorted tree ids ``trees``."""
         keys, number = self.keys, self.number
         starts = [i for i, n in enumerate(trees) if not i or n != trees[i - 1]] + [len(trees)]
-        # Runs of equal trees (run_cuts) are folded from the last back onto the flat cuts of
-        # the last tree if it is a run of its own, else onto the empty forest's one cut.
+        # Runs of equal trees (run_cuts) are folded from the last back onto the stored cuts of the last
+        # tree if it is a run of its own, else onto the empty forest's one cut; neither is ever written.
         j = len(starts) - 1
         if j and starts[j - 1] == len(trees) - 1:
             j -= 1
-            cuts = count(self.cuts[trees[-1]] or self.tree_cuts(trees[-1]))
+            cuts = self.cuts[trees[-1]] or self.tree_cuts(trees[-1])
         else:
             cuts = {(number(()),) * 2: 1}
         for j in reversed(range(j)):
@@ -130,40 +139,44 @@ class Table:
         return cuts
 
     def run_cuts(self, n: int, m: int):
-        """Per multiset of m cuts of tree ``n``: its upper and lower member ids, and the m!/∏kᵢ! ways to deal it."""
-        flat = self.cuts[n] or self.tree_cuts(n)
-        uppers, lowers = [self.keys[u] for u in flat[::2]], [self.keys[l] for l in flat[1::2]]
+        """Per multiset of m cut pairs of tree ``n``: its upper and lower member ids, and the m!/∏kᵢ! · ∏cᵢ^kᵢ
+        ways to deal it, cᵢ the count of its i-th pair."""
+        cuts = self.cuts[n] or self.tree_cuts(n)
+        uppers, lowers = [self.keys[u] for u, _ in cuts], [self.keys[l] for _, l in cuts]
+        counts = [*cuts.values()]
         if m == 1:
-            yield from zip(uppers, lowers, repeat(1))
+            yield from zip(uppers, lowers, counts)
             return
         facts = [*accumulate(range(1, m + 1), int.__mul__, initial=1)]  # 0! .. m!
         for combo in combinations_with_replacement(range(len(uppers)), m):
             up, low = ((*chain.from_iterable(map(side.__getitem__, combo)),) for side in (uppers, lowers))
-            yield up, low, facts[m] // prod(facts[len([*same])] for _, same in groupby(combo))
+            ways = facts[m] // prod(facts[len([*same])] for _, same in groupby(combo))
+            yield up, low, ways * prod(map(counts.__getitem__, combo))
 
     def antipode(self, n: int) -> dict:
         """The antipode of forest ``n`` per forest id: over every set of edges, the pieces left, signed."""
         signed = {}
-        for combo in iproduct(*map(self.edge_cuts, self.keys[n])):
-            pieces = sorted(piece for cut in combo for piece in cut)
+        for combo in iproduct(*(self.edge_cuts(t).items() for t in self.keys[n])):
+            pieces = sorted(piece for cut, _ in combo for piece in cut)
             f = self.number(tuple(pieces))
-            signed[f] = signed.get(f, 0) + (-1) ** len(pieces)
+            signed[f] = signed.get(f, 0) + (-1) ** len(pieces) * prod(c for _, c in combo)
         return signed
 
-    def edge_cuts(self, n: int) -> list[tuple[int, ...]]:
-        """Per set of edges of comb tree ``n``, the ids of the piece holding the root and then of the
-        pieces cut off, filled children first: a child edge is kept or cut, whatever is cut inside."""
+    def edge_cuts(self, n: int) -> dict:
+        """How often cutting a set of edges of comb tree ``n`` leaves each (piece holding the root, *sorted pieces
+        cut off) of ids, filled children first: a child edge is kept or cut, whatever is cut inside."""
         for i in _children_first(n, self.pieces.__contains__, self.parts):
-            # Per child edge: (child root kept under the root, pieces cut off).
+            # Per child edge: (child root kept under the root, pieces cut off, count).
             choices = [
-                [choice for cut in self.pieces[c] for choice in (((cut[0],), cut[1:]), ((), cut))]
-                for c in self.parts(i)
+                [choice for cut, c in self.pieces[k].items() for choice in ((cut[:1], cut[1:], c), ((), cut, c))]
+                for k in self.parts(i)
             ]
-            self.pieces[i] = [
-                (self.number(("", *sorted(r for kept, _ in combo for r in kept)), self.protos[i]),
-                 *(piece for _, off in combo for piece in off))
-                for combo in iproduct(*choices)
-            ]
+            found = {}
+            for combo in iproduct(*choices):
+                cut = (self.number(("", *sorted(r for kept, _, _ in combo for r in kept)), self.protos[i]),
+                       *sorted(piece for _, off, _ in combo for piece in off))
+                found[cut] = found.get(cut, 0) + prod(c for *_, c in combo)
+            self.pieces[i] = found
         return self.pieces[n]
 
     def core(self, n: int) -> tuple[int, ...]:
@@ -180,10 +193,3 @@ class Table:
         terms = terms if den == 1 else {k: Fraction(c, den) for k, c in terms.items()}
         return LinComb({obj(k) if type(k) is int else tuple(map(obj, k)): c for k, c in terms.items()})
 
-
-def count(flat) -> dict:
-    """How often each (upper, lower) pair of the flat cuts ``flat``, upper and lower in turn, occurs."""
-    counts = {}
-    for pair in zip(flat[::2], flat[1::2]):
-        counts[pair] = counts.get(pair, 0) + 1
-    return counts

@@ -502,6 +502,25 @@ def test_op_cocycle_at_a_large_bound_prints_its_witness_in_little_memory():
     assert result.stdout == "FAIL (node-builder cocycle): op=v2 args=(|, |) difference=-1*v2(|,|)(x)1 + 1*v2(|,|)(x)|\n"
 
 
+@pytest.mark.parametrize("argv, count, nodes", [
+    ("enumerate --signature list:200 --n 2", 4_040_100, 2),
+    ("enumerate --signature list:4 --n 8", 2_300_390_625, 8),
+    ("enumerate --signature list:4 --by leaves --n 1 --node-bound 8", 5_062_500, 6),
+])
+def test_an_enumeration_that_cannot_finish_is_refused_before_any_tree_is_built(argv, count, nodes):
+    start = time.perf_counter()
+    result = run_capped(*argv.split())
+    assert time.perf_counter() - start < 1
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {count} trees have {nodes} nodes, over the enumeration cap of 2000000\n"
+
+
+def test_the_largest_admitted_enumerations_pass_the_tree_cap():
+    # The largest benchmark enumeration (258,944 trees) and stable:4 at 6 nodes (1,209,492).
+    for name, n in (("list:3", 6), ("stable:4", 6)):
+        ptrees._check_tree_count(cli._load_signature(name), range(n + 1))
+
+
 def test_lambek_refuses_a_wide_operation_before_building_its_stage(tmp_path):
     # Stage 3 of one operation of arity 3000 would hold 1 + 2^3000 trees.
     path = tmp_path / "wide.json"

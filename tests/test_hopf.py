@@ -192,8 +192,8 @@ def shared_coproduct(ids, x):
 
 def shared_tree_cuts(ids, t):
     """The cuts of tree ``t`` read off the cut table ``ids``, as :func:`tree_cuts` gives them."""
-    flat = ids.tree_cuts(ids.tree(t))
-    return tuple(zip(map(ids.obj, flat[::2]), map(ids.obj, flat[1::2])))
+    cuts = ids.tree_cuts(ids.tree(t))
+    return tuple((ids.obj(u), ids.obj(l)) for (u, l), c in cuts.items() for _ in range(c))
 
 
 def test_coproduct_builds_one_forest_per_code(monkeypatch):
@@ -260,7 +260,7 @@ def test_a_forest_of_3000_runs_folds_without_recursion(monkeypatch):
     # With every tree's cuts cut down to the one under its root, the fold of 3000 distinct
     # trees has one term, and a fold that spent a frame per run would pass the recursion limit.
     sig = Signature(tuple(Operation(f"o{i}", 0) for i in range(3000)))
-    monkeypatch.setattr(Table, "tree_cuts", lambda self, n: (self.number((n,)), self.number(())))
+    monkeypatch.setattr(Table, "tree_cuts", lambda self, n: {(self.number((n,)), self.number(())): 1})
     forest = Forest(PTree(op, ()) for op in sig.ops)
     assert coproduct(forest) == HckTensor({(forest, EMPTY_FOREST): 1})
 
@@ -268,6 +268,28 @@ def test_a_forest_of_3000_runs_folds_without_recursion(monkeypatch):
 def test_forty_equal_leaves_are_dealt_binomial_coefficients():
     delta = coproduct(Forest([LEAF] * 40))
     assert delta == HckTensor({(Forest([LEAF] * k), Forest([LEAF] * (40 - k))): comb(40, k) for k in range(41)})
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_a_corolla_stores_each_cut_pair_once_with_its_count(k):
+    # Its 2^k cuts under single leaves merge into k + 1 pairs, one per number j of leaves above.
+    ids = Table()
+    corolla = ids.tree(CombTree([LEAF] * k))
+    expected = {(ids.forest_of((corolla,)), ids.forest_of(())): 1}
+    for j in range(k + 1):
+        expected[ids.forest_of((ids.tree(LEAF),) * j), ids.forest_of((ids.tree(CombTree([LEAF] * (k - j))),))] = comb(k, j)
+    cuts = ids.tree_cuts(corolla)
+    assert cuts == expected and len(cuts) == k + 2
+    assert next(iter(cuts)) == next(iter(expected))  # the cut under the root first
+    assert len(tree_cuts(CombTree([LEAF] * k))) == 2**k + 1
+
+
+def test_a_decorated_tree_stores_each_cut_pair_once():
+    # Its lower tree tells a decorated cut, so no two cuts share a pair, even under equal children.
+    ids = Table()
+    for sig in (stable_signature(3), Signature((Operation("e", 0), Operation("b", 2), Operation("t", 3)))):
+        for t in up_to(partial(enumerate_by_nodes, sig), 4):
+            assert set(ids.tree_cuts(ids.tree(t)).values()) == {1}, t
 
 
 def test_cut_and_antipode_tables_hold_no_zero_count():

@@ -148,7 +148,7 @@ def drop_last_proper_cut(forest_cuts):
     """Forest cuts without the last (upper, lower) id pair whose two forests are both nonempty."""
 
     def mutant(self, trees):
-        pairs = forest_cuts(self, trees)
+        pairs = dict(forest_cuts(self, trees))  # a copy: a one-tree forest's cuts are the table's own
         proper = [pair for pair in pairs if self.keys[pair[0]] and self.keys[pair[1]]]
         if proper:
             del pairs[proper[-1]]
@@ -161,7 +161,7 @@ def raise_first_count(forest_cuts):
     """Forest cuts with the count of their first id pair raised by one."""
 
     def mutant(self, trees):
-        pairs = forest_cuts(self, trees)
+        pairs = dict(forest_cuts(self, trees))  # a copy: a one-tree forest's cuts are the table's own
         pairs[next(iter(pairs))] += 1
         return pairs
 
@@ -258,8 +258,8 @@ def test_shared_table_changes_no_result_and_shares_each_code():
         return shared.setdefault((type(x), x.code), x) is x
 
     for t in trees + comb_trees:
-        flat = ids.tree_cuts(ids.tree(t))
-        cuts = tuple(zip(map(ids.obj, flat[::2]), map(ids.obj, flat[1::2])))
+        pairs = ids.tree_cuts(ids.tree(t))
+        cuts = tuple((ids.obj(u), ids.obj(l)) for (u, l), c in pairs.items() for _ in range(c))
         assert cuts == tree_cuts(t)
         assert all(is_shared(crown) and is_shared(lower) for crown, lower in cuts)
     # A decorated tree and its core share the table, as in the

@@ -1,4 +1,5 @@
 from functools import partial
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,6 +27,7 @@ from dsetree.ptrees import (
     stable_signature,
 )
 from dsetree.report import up_to
+from test_oracles import signatures
 from dsetree.opbialg import core, core_census, green
 from dsetree.trees import (
     EMPTY_FOREST,
@@ -205,6 +207,19 @@ def test_leaf_enumeration_needs_node_bound_for_small_arities():
     assert all(t.leaf_count == 2 for t in found)
     with pytest.raises(ValueError):
         enumerate_by_leaves(sig, 2, node_bound=-3)
+
+
+@given(signatures, st.integers(0, 6))
+def test_tree_counts_are_the_enumerated_counts(sig, n):
+    assume(ptrees.tree_counts(sig, n)[n] <= 3000)
+    assert ptrees.tree_counts(sig, n)[n] == len(enumerate_by_nodes(sig, n))
+
+
+def test_tree_counts_do_not_grow_with_the_arity():
+    # One operation of arity a: t_3 = [T^a]_2 = a t_2 + C(a, 2) t_1², and t_4 likewise; [T^a]_j has j + 1 terms.
+    a = 30_000
+    t3 = a * a + comb(a, 2)
+    assert ptrees.tree_counts(Signature((Operation("w", a),)), 4) == [1, 1, a, t3, a * t3 + comb(a, 2) * 2 * a + comb(a, 3)]
 
 
 def test_size_limits():

@@ -4,7 +4,7 @@ from functools import partial
 from itertools import chain
 from types import MappingProxyType, SimpleNamespace
 
-from dsetree import hopf, table
+from dsetree import cli, hopf, table
 from dsetree.cli import main
 from dsetree.hopf import antipode, check_antipode, check_cocycle, check_counit, coproduct
 from dsetree.linear import LinComb
@@ -319,6 +319,23 @@ def test_coassociativity_driver_never_writes_a_delta():
         third = read_only(numbered(lambda x: coproduct(x).scale(Fraction(1, 3))))
         assert check_coassociative("read-only scaled", inputs, *third).passed
         assert not check_coassociative("read-only off", inputs, *read_only(numbered(off_by_one(coproduct)))).passed
+
+
+def test_no_law_writes_the_cuts_a_table_hands_out(monkeypatch):
+    # A tree's cuts, a one-tree forest's cuts and a tree's edge sets are the table's own dicts,
+    # handed out uncopied; read-only views of them must give every CLI law the same report.
+    runs = [partial(cli._HOPF_LAWS[law], 5) for law in ("coassoc", "counit", "antipode", "cocycle")]
+    runs += [
+        partial(cli._TREE_LAWS[law], sig, 3)
+        for law in ("op-coassoc", "core-hom", "faa-di-bruno", "op-cocycle")
+        for sig in (binary_signature(), stable_signature(3))
+    ]
+    expected = [run() for run in runs]
+    with monkeypatch.context() as patch:
+        for name in ("tree_cuts", "forest_cuts", "edge_cuts"):
+            stored = getattr(table.Table, name)
+            patch.setattr(table.Table, name, lambda self, *args, stored=stored: MappingProxyType(stored(self, *args)))
+        assert [run() for run in runs] == expected
 
 
 def test_coassociativity_driver_compares_nonzero_parts():

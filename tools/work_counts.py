@@ -10,8 +10,10 @@ one entry per ``table.Table`` it made, in the order they were made:
 
 - ``ids``: the trees and forests numbered
 - ``trees_cut`` and ``cuts``: the trees whose cuts were filled, and their cuts
-- ``edge_sets``: the antipode's edge sets (``Table.edge_cuts``)
+  counted with multiplicity (the sum of the stored counts)
+- ``edge_sets``: the antipode's edge sets (``Table.edge_cuts``), with multiplicity
 - ``objects``: the ids that hold an object, met or built
+- ``pairs``: the distinct (upper, lower) cut pairs stored, the work of filling them
 
 and ``graded``, the ``cache_info()`` of ``ptrees._graded`` after the command;
 the cache is emptied before each workload, as a fresh process starts it.  The
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,14 +59,21 @@ def recording():
         table.Table.__init__ = init
 
 
+def stored(cuts) -> dict:
+    """A tree's stored cuts or edge sets as a dict to counts; a ``dsetree`` from before the counts
+    stored them flat, a tree's cuts as upper and lower ids in turn and its edge sets as a list."""
+    return cuts if isinstance(cuts, dict) else Counter(zip(cuts[::2], cuts[1::2]) if isinstance(cuts, tuple) else cuts)
+
+
 def table_counts(ids) -> dict:
-    filled = [c for c in ids.cuts if c is not None]
+    filled = [stored(c) for c in ids.cuts if c is not None]
     return {
         "ids": len(ids.keys),
         "trees_cut": len(filled),
-        "cuts": sum(len(c) for c in filled) // 2,
-        "edge_sets": sum(map(len, ids.pieces.values())),
+        "cuts": sum(sum(c.values()) for c in filled),
+        "edge_sets": sum(sum(stored(e).values()) for e in ids.pieces.values()),
         "objects": sum(o is not None for o in ids.objs),
+        "pairs": sum(map(len, filled)),
     }
 
 
