@@ -2,7 +2,7 @@ from collections import Counter
 from contextlib import suppress
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, prod
 import time
 
 import pytest
@@ -285,11 +285,17 @@ def test_a_corolla_stores_each_cut_pair_once_with_its_count(k):
 
 
 def test_a_decorated_tree_stores_each_cut_pair_once():
-    # Its lower tree tells a decorated cut, so no two cuts share a pair, even under equal children.
+    # Its lower tree tells a decorated cut, so no two cuts share a pair, even under equal children:
+    # as many pairs as cuts, counted apart from the table (the bare edge has one, a node one more than
+    # the product of its children's), each with count 1.
+    def cut_count(t):
+        return 1 if t.op is None else 1 + prod(map(cut_count, t.children))
+
     ids = Table()
     for sig in (stable_signature(3), Signature((Operation("e", 0), Operation("b", 2), Operation("t", 3)))):
         for t in up_to(partial(enumerate_by_nodes, sig), 4):
-            assert set(ids.tree_cuts(ids.tree(t)).values()) == {1}, t
+            cuts = ids.tree_cuts(ids.tree(t))
+            assert len(cuts) == cut_count(t) and set(cuts.values()) == {1}, t
 
 
 def test_cut_and_antipode_tables_hold_no_zero_count():

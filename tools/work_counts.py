@@ -31,7 +31,6 @@ import json
 import os
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,19 +58,13 @@ def recording():
         table.Table.__init__ = init
 
 
-def stored(cuts) -> dict:
-    """A tree's stored cuts or edge sets as a dict to counts; a ``dsetree`` from before the counts
-    stored them flat, a tree's cuts as upper and lower ids in turn and its edge sets as a list."""
-    return cuts if isinstance(cuts, dict) else Counter(zip(cuts[::2], cuts[1::2]) if isinstance(cuts, tuple) else cuts)
-
-
 def table_counts(ids) -> dict:
-    filled = [stored(c) for c in ids.cuts if c is not None]
+    filled = [c for c in ids.cuts if c is not None]
     return {
         "ids": len(ids.keys),
         "trees_cut": len(filled),
         "cuts": sum(sum(c.values()) for c in filled),
-        "edge_sets": sum(sum(stored(e).values()) for e in ids.pieces.values()),
+        "edge_sets": sum(sum(e.values()) for e in ids.pieces.values()),
         "objects": sum(o is not None for o in ids.objs),
         "pairs": sum(map(len, filled)),
     }
